@@ -52,8 +52,8 @@ fn bench_end_to_end(c: &mut Criterion) {
                     let mine = scatter(&points, comm.rank(), comm.size());
                     let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
                     let myq = scatter(&queries, comm.rank(), comm.size());
-                    let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-                    let res = query_distributed(comm, &tree, &myq, &qcfg).unwrap();
+                    let req = QueryRequest::knn(&myq, 5);
+                    let res = query_distributed(comm, &tree, &req).unwrap();
                     res.neighbors.len()
                 });
                 black_box(out.len())

@@ -33,7 +33,7 @@ fn main() {
     ]);
     for batch in [64usize, 256, 1024, 4096, 16384] {
         let mut cfg = RunConfig::edison(ranks);
-        cfg.query.batch_size = batch;
+        cfg.batch_size = batch;
         let m = run_distributed(&points, &queries, &cfg, false);
         let exposed = m.query_breakdown.comm_non_overlapped();
         table.row(&[

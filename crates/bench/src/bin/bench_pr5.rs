@@ -36,10 +36,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use panda_bench::load::{client_queries, quantile};
 use panda_bench::Args;
 use panda_core::engine::{NnBackend, QueryRequest};
 use panda_core::knn::KnnIndex;
-use panda_core::rng::SplitRng;
 use panda_core::{PointSet, TreeConfig};
 use panda_data::uniform;
 use panda_service::{OverflowPolicy, QueryService, ServiceConfig};
@@ -52,35 +52,6 @@ struct Workload {
     seed: u64,
     /// Deadline flush (µs) for the service mode.
     delay_us: u64,
-}
-
-/// Serving traffic with popularity skew: every request is a small
-/// perturbation of one of `hotspots` popular dataset points, and each
-/// client proxies many users, so *consecutive* requests of one client
-/// jump between hotspots. A per-thread stream therefore has no usable
-/// locality — only cross-client coalescing (the service's Morton pass
-/// over each micro-batch) can group co-located queries back together.
-fn client_queries(
-    points: &PointSet,
-    hotspots: usize,
-    client: usize,
-    requests: usize,
-    seed: u64,
-) -> Vec<PointSet> {
-    let dims = points.dims();
-    let mut rng = SplitRng::new(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    (0..requests)
-        .map(|_| {
-            let h = (rng.next_f64() * hotspots as f64) as usize % hotspots;
-            // hotspots are spread deterministically through the dataset
-            let center = points.point((h * points.len() / hotspots) % points.len());
-            let q: Vec<f32> = center
-                .iter()
-                .map(|&c| c + ((rng.next_f64() - 0.5) * 0.02) as f32)
-                .collect();
-            PointSet::from_coords(dims, q).expect("finite query")
-        })
-        .collect()
 }
 
 /// Neighbor rows as comparable bits.
@@ -96,14 +67,6 @@ struct ModeResult {
     /// (zero in direct mode, which has no cache).
     cache_hits: u64,
     cache_misses: u64,
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 /// Closed-loop clients calling `backend.query` one request at a time.

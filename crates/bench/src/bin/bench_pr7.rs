@@ -28,6 +28,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use panda_bench::load::quantile;
 use panda_bench::Args;
 use panda_core::engine::{NnBackend, QueryRequest, QueryResponse};
 use panda_core::knn::KnnIndex;
@@ -183,14 +184,6 @@ fn run_rebuild(seed_points: &PointSet, stream: &[Op], k: usize, tree: &TreeConfi
     }
     r.wall_seconds = t0.elapsed().as_secs_f64();
     r
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 fn sorted(mut v: Vec<f64>) -> Vec<f64> {

@@ -29,38 +29,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use panda_bench::load::{client_queries, quantile};
 use panda_bench::Args;
 use panda_core::engine::{NnBackend, QueryRequest, ShardedIndex};
-use panda_core::rng::SplitRng;
 use panda_core::{DistConfig, PointSet};
 use panda_data::uniform;
 use panda_service::{OverflowPolicy, QueryService, ServiceConfig};
-
-/// Serving traffic with popularity skew (same shape as bench_pr5): each
-/// request perturbs one of `hotspots` popular dataset points, and each
-/// client proxies many users, so per-thread streams have no locality of
-/// their own — coalescing and shard routing do the work.
-fn client_queries(
-    points: &PointSet,
-    hotspots: usize,
-    client: usize,
-    requests: usize,
-    seed: u64,
-) -> Vec<PointSet> {
-    let dims = points.dims();
-    let mut rng = SplitRng::new(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    (0..requests)
-        .map(|_| {
-            let h = (rng.next_f64() * hotspots as f64) as usize % hotspots;
-            let center = points.point((h * points.len() / hotspots) % points.len());
-            let q: Vec<f32> = center
-                .iter()
-                .map(|&c| c + ((rng.next_f64() - 0.5) * 0.02) as f32)
-                .collect();
-            PointSet::from_coords(dims, q).expect("finite query")
-        })
-        .collect()
-}
 
 /// Neighbor rows as comparable bits.
 type Row = Vec<(u32, u64)>;
@@ -94,14 +68,6 @@ fn comm_bytes_total(index: &ShardedIndex) -> u64 {
     .iter()
     .map(|name| snap.counter(name).unwrap_or(0))
     .sum()
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 /// Closed-loop clients submitting through a service over `index`.

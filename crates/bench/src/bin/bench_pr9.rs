@@ -23,6 +23,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use panda_bench::load::quantile;
 use panda_bench::Args;
 use panda_core::PointSet;
 use panda_data::uniform;
@@ -46,14 +47,6 @@ impl Drop for TmpDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 /// Insert every point of `pts`, returning (wall seconds, sorted per-op

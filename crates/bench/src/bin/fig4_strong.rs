@@ -54,7 +54,7 @@ fn main() {
         for step in 0..steps {
             let ranks = base << step;
             let mut cfg = RunConfig::edison(ranks);
-            cfg.query.k = row.k;
+            cfg.k = row.k;
             let m = run_distributed(&points, &queries, &cfg, false);
             if step == 0 {
                 base_c = m.construct_s;

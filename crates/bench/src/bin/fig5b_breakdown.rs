@@ -31,7 +31,7 @@ fn main() {
         let points = ds.generate(eff_scale, seed);
         let queries = queries_from(&points, 64, 0.01, seed + 1);
         let mut cfg = RunConfig::edison(args.usize("ranks", ranks));
-        cfg.query.k = row.k;
+        cfg.k = row.k;
         let m = run_distributed(&points, &queries, &cfg, false);
         columns.push(m.build_breakdown.percentages());
         eprintln!("  {}: total {:.3} model s", row.name, m.construct_s);

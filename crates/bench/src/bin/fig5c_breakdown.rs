@@ -35,7 +35,7 @@ fn main() {
         let n_queries = ((points.len() as f64 * row.query_fraction) as usize).max(64);
         let queries = queries_from(&points, n_queries, 0.01, seed + 1);
         let mut cfg = RunConfig::edison(args.usize("ranks", 16));
-        cfg.query.k = row.k;
+        cfg.k = row.k;
         let m = run_distributed(&points, &queries, &cfg, false);
         let v = m.query_breakdown.figure_values(true);
         let total: f64 = v.iter().sum();

@@ -41,8 +41,8 @@ fn main() {
         let mine = scatter(&train, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&test, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, k).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let req = QueryRequest::knn(&myq, k);
+        let res = query_distributed(comm, &tree, &req).expect("query");
         // classify locally; return (truth, majority, weighted) triples
         (0..myq.len())
             .map(|i| {

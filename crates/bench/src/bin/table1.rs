@@ -47,7 +47,7 @@ fn main() {
         let queries = queries_from(&points, n_queries, 0.01, seed + 1);
 
         let mut cfg = RunConfig::edison(ranks);
-        cfg.query.k = row.k;
+        cfg.k = row.k;
         // verification on the smaller rows only (brute force over all
         // points per sampled query gets slow beyond ~10M points)
         let verify = points.len() <= 2_000_000;

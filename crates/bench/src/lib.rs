@@ -9,6 +9,8 @@
 //! * [`table`] — aligned table / CSV printing;
 //! * [`runner`] — the distributed build+query experiment driver with
 //!   rank-aggregated metrics;
+//! * [`load`] — hot-spot client query streams and latency quantiles for
+//!   the closed-loop serving and store benches;
 //! * [`calibrate`] — host microbenchmarks for the cost-model constants.
 //!
 //! ## Scale convention
@@ -26,6 +28,7 @@
 
 pub mod args;
 pub mod calibrate;
+pub mod load;
 pub mod runner;
 pub mod table;
 

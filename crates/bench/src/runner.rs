@@ -5,7 +5,7 @@ use panda_comm::{run_cluster, ClusterConfig, CommStats, MachineProfile};
 use panda_core::build_distributed::build_distributed;
 use panda_core::query_distributed::{query_distributed, RemoteStats};
 use panda_core::timers::{BuildBreakdown, QueryBreakdown};
-use panda_core::{DistConfig, PointSet, QueryConfig, QueryCounters};
+use panda_core::{DistConfig, PointSet, QueryCounters, QueryRequest};
 use panda_data::scatter;
 
 /// Configuration of one distributed experiment.
@@ -19,8 +19,10 @@ pub struct RunConfig {
     pub profile: MachineProfile,
     /// Construction parameters.
     pub dist: DistConfig,
-    /// Query parameters.
-    pub query: QueryConfig,
+    /// Neighbors per query.
+    pub k: usize,
+    /// Queries per pipeline step on each rank.
+    pub batch_size: usize,
 }
 
 impl RunConfig {
@@ -31,7 +33,8 @@ impl RunConfig {
             threads: 24,
             profile: MachineProfile::EdisonNode,
             dist: DistConfig::default(),
-            query: QueryConfig::default(),
+            k: 5,
+            batch_size: QueryRequest::DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -42,10 +45,8 @@ impl RunConfig {
             threads: 68,
             profile: MachineProfile::KnlNode,
             dist: DistConfig::default(),
-            query: QueryConfig {
-                k: 10,
-                ..QueryConfig::default()
-            },
+            k: 10,
+            batch_size: QueryRequest::DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -98,7 +99,6 @@ pub fn run_distributed(
     let mut dist = cfg.dist;
     dist.local.threads = cfg.threads;
     dist.local.parallel = false;
-    let qcfg = cfg.query;
     let cost = cfg.profile.cost_model().with_threads(cfg.threads);
     let cluster = ClusterConfig::new(cfg.ranks).with_cost(cost);
 
@@ -121,7 +121,8 @@ pub fn run_distributed(
         let t_build = comm.now();
         let stats_at_build = comm.stats();
         let myq = scatter(all_queries, comm.rank(), comm.size());
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("distributed query");
+        let req = QueryRequest::knn(&myq, cfg.k).with_batch_size(cfg.batch_size);
+        let res = query_distributed(comm, &tree, &req).expect("distributed query");
         comm.barrier();
         let comm_query = comm.stats().since(&stats_at_build);
         let t_query_sync = comm.now() - t_build;
@@ -153,7 +154,7 @@ pub fn run_distributed(
     if verify {
         for o in &outcomes {
             for (q, dists) in &o.result.sample {
-                let expect = brute_dists(all_points, q, qcfg.k);
+                let expect = brute_dists(all_points, q, cfg.k);
                 assert_eq!(dists, &expect, "verification failed at rank {}", o.rank);
             }
         }
@@ -169,7 +170,7 @@ pub fn run_distributed(
         .fold(0.0, f64::max);
     let query_s = outcomes
         .iter()
-        .map(|o| o.result.query_breakdown.total(qcfg.pipeline))
+        .map(|o| o.result.query_breakdown.total_pipelined())
         .fold(0.0, f64::max);
 
     let mut build_breakdown = BuildBreakdown::default();

@@ -203,76 +203,6 @@ impl TreeConfig {
     }
 }
 
-/// Distributed query engine parameters (§III-B).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QueryConfig {
-    /// Number of nearest neighbors.
-    pub k: usize,
-    /// Queries processed per pipeline step on each rank (paper: batching
-    /// for load balance and throughput).
-    pub batch_size: usize,
-    /// Model software pipelining (overlap of communication with the
-    /// compute of adjacent batches) when reporting times.
-    pub pipeline: bool,
-    /// Refine remote-rank selection with per-rank point bounding boxes in
-    /// addition to the global-tree cells.
-    pub bbox_routing: bool,
-    /// Traversal bound computation.
-    pub bound_mode: BoundMode,
-    /// Initial search radius (`∞` for plain KNN). Squared internally.
-    pub initial_radius: f32,
-    /// Execution order of each rank's *owned* queries (after routing).
-    /// [`QueryOrder::Morton`] sorts them along a Z-order curve so every
-    /// pipeline step's local KNN and remote request streams touch
-    /// spatially coherent leaves; results are always returned in
-    /// submission order, so this is a locality knob only — it never
-    /// changes values.
-    pub order: QueryOrder,
-}
-
-impl Default for QueryConfig {
-    fn default() -> Self {
-        Self {
-            k: 5,
-            batch_size: 4096,
-            pipeline: true,
-            bbox_routing: true,
-            bound_mode: BoundMode::default(),
-            initial_radius: f32::INFINITY,
-            order: QueryOrder::default(),
-        }
-    }
-}
-
-impl QueryConfig {
-    /// Config for `k` neighbors with defaults otherwise.
-    #[must_use]
-    pub fn with_k(k: usize) -> Self {
-        Self {
-            k,
-            ..Self::default()
-        }
-    }
-
-    /// Validate parameter ranges.
-    pub fn validate(&self) -> Result<()> {
-        if self.k == 0 {
-            return Err(PandaError::ZeroK);
-        }
-        if self.batch_size == 0 {
-            return Err(PandaError::BadConfig("batch_size must be ≥ 1".into()));
-        }
-        // `+inf` is the documented "no limit" sentinel; everything else
-        // must be a positive finite radius.
-        if self.initial_radius.is_nan() || self.initial_radius <= 0.0 {
-            return Err(PandaError::BadRadius {
-                radius: self.initial_radius,
-            });
-        }
-        Ok(())
-    }
-}
-
 /// Distributed construction parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DistConfig {
@@ -325,9 +255,8 @@ mod tests {
         assert_eq!(t.data_parallel_factor, 10);
         let d = DistConfig::default();
         assert_eq!(d.global_samples_per_rank, 256);
-        let q = QueryConfig::default();
-        assert_eq!(q.bound_mode, BoundMode::Exact);
-        assert_eq!(q.order, QueryOrder::Input);
+        assert_eq!(BoundMode::default(), BoundMode::Exact);
+        assert_eq!(QueryOrder::default(), QueryOrder::Input);
         assert_eq!(t.query_order, QueryOrder::Input);
     }
 
@@ -356,33 +285,6 @@ mod tests {
         }
         .validate()
         .is_err());
-
-        assert!(QueryConfig::with_k(0).validate().is_err());
-        assert!(QueryConfig {
-            batch_size: 0,
-            ..QueryConfig::with_k(1)
-        }
-        .validate()
-        .is_err());
-        for r in [0.0, -1.0, f32::NAN, f32::NEG_INFINITY] {
-            let err = QueryConfig {
-                initial_radius: r,
-                ..QueryConfig::with_k(1)
-            }
-            .validate()
-            .unwrap_err();
-            assert!(
-                matches!(err, PandaError::BadRadius { .. }),
-                "expected BadRadius for {r}, got {err:?}"
-            );
-        }
-        // +inf is the documented "no limit" sentinel
-        assert!(QueryConfig {
-            initial_radius: f32::INFINITY,
-            ..QueryConfig::with_k(1)
-        }
-        .validate()
-        .is_ok());
 
         assert!(DistConfig {
             global_samples_per_rank: 1,

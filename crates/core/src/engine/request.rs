@@ -1,12 +1,12 @@
 //! The unified query request: one validated entry point for kNN,
-//! radius-limited kNN, and the execution knobs that used to be scattered
-//! across `query_batch` arguments and `QueryConfig` fields.
+//! radius-limited kNN, and the execution knobs of every backend, from the
+//! single-node index down to the SPMD distributed engine.
 
 use std::time::Duration;
 
 use panda_obs::TraceId;
 
-use crate::config::{BoundMode, QueryConfig, QueryOrder};
+use crate::config::{BoundMode, QueryOrder};
 use crate::error::{PandaError, Result};
 use crate::point::PointSet;
 
@@ -27,8 +27,8 @@ use crate::point::PointSet;
 /// ```
 ///
 /// Local backends use `k`, `radius`, `order`, `bound_mode`, and
-/// `parallel`; distributed backends additionally honor `batch_size`,
-/// `pipeline`, and `bbox_routing`. Unknown-to-a-backend knobs are
+/// `parallel`; distributed backends additionally honor `batch_size` and
+/// `bbox_routing`. Unknown-to-a-backend knobs are
 /// ignored, never an error — the same request can be replayed against
 /// every [`crate::engine::NnBackend`].
 #[derive(Clone, Copy, Debug)]
@@ -40,16 +40,17 @@ pub struct QueryRequest<'a> {
     bound_mode: BoundMode,
     parallel: Option<bool>,
     batch_size: usize,
-    pipeline: bool,
     bbox_routing: bool,
     deadline: Option<Duration>,
     trace: TraceId,
 }
 
 impl<'a> QueryRequest<'a> {
+    /// Default queries per distributed pipeline step.
+    pub const DEFAULT_BATCH_SIZE: usize = 4096;
+
     /// A plain k-nearest-neighbor request with default execution knobs.
     pub fn knn(queries: &'a PointSet, k: usize) -> Self {
-        let defaults = QueryConfig::default();
         Self {
             queries,
             k,
@@ -57,9 +58,8 @@ impl<'a> QueryRequest<'a> {
             order: None,
             bound_mode: BoundMode::default(),
             parallel: None,
-            batch_size: defaults.batch_size,
-            pipeline: defaults.pipeline,
-            bbox_routing: defaults.bbox_routing,
+            batch_size: Self::DEFAULT_BATCH_SIZE,
+            bbox_routing: true,
             deadline: None,
             trace: TraceId::NONE,
         }
@@ -97,23 +97,16 @@ impl<'a> QueryRequest<'a> {
         self
     }
 
-    /// Queries per pipeline step (distributed backends).
+    /// Queries per pipeline step (distributed backends; default
+    /// [`Self::DEFAULT_BATCH_SIZE`]).
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self
     }
 
-    /// Model software pipelining in reported times (distributed
-    /// backends).
-    #[must_use]
-    pub fn with_pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// Refine remote-rank selection with per-rank bounding boxes
-    /// (distributed backends).
+    /// (distributed backends; default on).
     #[must_use]
     pub fn with_bbox_routing(mut self, bbox: bool) -> Self {
         self.bbox_routing = bbox;
@@ -188,11 +181,6 @@ impl<'a> QueryRequest<'a> {
         self.batch_size
     }
 
-    /// Whether reported distributed times model software pipelining.
-    pub fn pipeline(&self) -> bool {
-        self.pipeline
-    }
-
     /// Whether distributed routing refines with per-rank bounding boxes.
     pub fn bbox_routing(&self) -> bool {
         self.bbox_routing
@@ -220,43 +208,6 @@ impl<'a> QueryRequest<'a> {
         }
         self.queries.validate()
     }
-
-    /// Lift a distributed-engine [`QueryConfig`] into a request over
-    /// `queries` (the inverse of [`Self::to_query_config`]; used by
-    /// config-driven harnesses).
-    pub fn from_config(queries: &'a PointSet, cfg: &QueryConfig) -> Self {
-        let mut req = Self::knn(queries, cfg.k)
-            .with_bound_mode(cfg.bound_mode)
-            .with_batch_size(cfg.batch_size)
-            .with_pipeline(cfg.pipeline)
-            .with_bbox_routing(cfg.bbox_routing);
-        // `Input` is the config default; leaving the request's order as
-        // "not overridden" preserves a local index's own configured order
-        // when the same request is replayed against it.
-        if cfg.order != QueryOrder::Input {
-            req = req.with_order(cfg.order);
-        }
-        // `+inf` is the config's "no limit" sentinel and maps to no radius;
-        // every other value (including NaN / -inf / ≤ 0) is carried over so
-        // `validate` rejects exactly what `QueryConfig::validate` rejects.
-        if cfg.initial_radius != f32::INFINITY {
-            req = req.with_radius(cfg.initial_radius);
-        }
-        req
-    }
-
-    /// Lower the request into the distributed engine's [`QueryConfig`].
-    pub fn to_query_config(&self) -> QueryConfig {
-        QueryConfig {
-            k: self.k,
-            batch_size: self.batch_size,
-            pipeline: self.pipeline,
-            bbox_routing: self.bbox_routing,
-            bound_mode: self.bound_mode,
-            initial_radius: self.radius.unwrap_or(f32::INFINITY),
-            order: self.order.unwrap_or_default(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -276,7 +227,6 @@ mod tests {
             .with_bound_mode(BoundMode::PaperScalar)
             .with_parallel(true)
             .with_batch_size(64)
-            .with_pipeline(false)
             .with_bbox_routing(false);
         assert!(req.validate().is_ok());
         assert_eq!(req.k(), 3);
@@ -285,32 +235,18 @@ mod tests {
         assert_eq!(req.order(), Some(QueryOrder::Morton));
         assert_eq!(req.bound_mode(), BoundMode::PaperScalar);
         assert_eq!(req.parallel(), Some(true));
-        let cfg = req.to_query_config();
-        assert_eq!(cfg.k, 3);
-        assert_eq!(cfg.batch_size, 64);
-        assert!(!cfg.pipeline);
-        assert!(!cfg.bbox_routing);
-        assert_eq!(cfg.initial_radius, 2.5);
-        assert_eq!(cfg.order, QueryOrder::Morton);
-        assert!(cfg.validate().is_ok());
+        assert_eq!(req.batch_size(), 64);
+        assert!(!req.bbox_routing());
     }
 
     #[test]
-    fn order_round_trips_through_query_config() {
+    fn defaults_are_the_engine_defaults() {
         let queries = qs();
-        // Morton survives the round trip
-        let cfg = QueryConfig {
-            order: QueryOrder::Morton,
-            ..QueryConfig::with_k(2)
-        };
-        let req = QueryRequest::from_config(&queries, &cfg);
-        assert_eq!(req.order(), Some(QueryOrder::Morton));
-        assert_eq!(req.to_query_config(), cfg);
-        // Input (the default) lifts to "no override" so a local index's
-        // configured order still applies on replay
-        let req = QueryRequest::from_config(&queries, &QueryConfig::with_k(2));
+        let req = QueryRequest::knn(&queries, 5);
+        assert_eq!(req.batch_size(), QueryRequest::DEFAULT_BATCH_SIZE);
+        assert!(req.bbox_routing());
+        assert_eq!(req.bound_mode(), BoundMode::Exact);
         assert_eq!(req.order(), None);
-        assert_eq!(req.to_query_config().order, QueryOrder::Input);
     }
 
     #[test]
@@ -348,38 +284,8 @@ mod tests {
         let req = QueryRequest::knn(&queries, 1);
         assert_eq!(req.radius(), None);
         assert_eq!(req.radius_sq(), f32::INFINITY);
-        assert_eq!(req.to_query_config().initial_radius, f32::INFINITY);
-    }
-
-    #[test]
-    fn from_config_round_trips_and_preserves_invalid_radii() {
-        let queries = qs();
-        // valid finite radius round-trips
-        let cfg = QueryConfig {
-            initial_radius: 2.5,
-            ..QueryConfig::with_k(3)
-        };
-        let req = QueryRequest::from_config(&queries, &cfg);
-        assert_eq!(req.radius(), Some(2.5));
-        assert_eq!(req.to_query_config(), cfg);
-        // +inf sentinel means "no radius"
-        let unbounded = QueryConfig::with_k(3);
-        let req = QueryRequest::from_config(&queries, &unbounded);
-        assert_eq!(req.radius(), None);
+        // "no radius" is the one way to ask for an unbounded search
         assert!(req.validate().is_ok());
-        // a config that QueryConfig::validate rejects must also be
-        // rejected after lifting — never silently made unbounded
-        for r in [f32::NAN, f32::NEG_INFINITY, -1.0, 0.0] {
-            let bad = QueryConfig {
-                initial_radius: r,
-                ..QueryConfig::with_k(3)
-            };
-            assert!(bad.validate().is_err());
-            assert!(matches!(
-                QueryRequest::from_config(&queries, &bad).validate(),
-                Err(PandaError::BadRadius { .. })
-            ));
-        }
     }
 
     #[test]
@@ -402,8 +308,6 @@ mod tests {
         let id = TraceId::from_raw(42);
         let req = req.with_trace(id);
         assert_eq!(req.trace(), id);
-        // trace does not leak into the engine config
-        assert_eq!(req.to_query_config(), QueryConfig::with_k(1));
     }
 
     #[test]

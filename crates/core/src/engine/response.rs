@@ -66,34 +66,10 @@ impl NeighborTable {
         Ok(Self { offsets, arena })
     }
 
-    /// Convert from the legacy nested representation.
-    pub fn from_nested(nested: Vec<Vec<Neighbor>>) -> Self {
-        let total: usize = nested.iter().map(Vec::len).sum();
-        assert!(total <= u32::MAX as usize, "neighbor arena exceeds u32");
-        let mut t = Self::with_capacity(nested.len(), total / nested.len().max(1));
-        for row in &nested {
-            t.push_row(row);
-        }
-        t
-    }
-
-    /// Convert to the legacy nested representation (allocates one `Vec`
-    /// per query — only for interop with deprecated APIs).
+    /// Copy the rows out as one `Vec` per query. Allocates per row; the
+    /// tests use it to compare tables against per-query results.
     pub fn to_nested(&self) -> Vec<Vec<Neighbor>> {
         self.iter().map(<[Neighbor]>::to_vec).collect()
-    }
-
-    /// Consuming variant of [`Self::to_nested`]: drains the arena into
-    /// the per-query vectors instead of cloning it, so the table's
-    /// backing storage is released as the rows are produced.
-    pub fn into_nested(self) -> Vec<Vec<Neighbor>> {
-        let Self { offsets, arena } = self;
-        let mut rows = Vec::with_capacity(offsets.len() - 1);
-        let mut drain = arena.into_iter();
-        for w in offsets.windows(2) {
-            rows.push(drain.by_ref().take((w[1] - w[0]) as usize).collect());
-        }
-        rows
     }
 
     /// Allocate a table with the given per-row neighbor counts, every row
@@ -262,7 +238,10 @@ mod tests {
             vec![n(0.25, 7)],
             vec![n(0.1, 3), n(0.2, 4), n(0.3, 5)],
         ];
-        let t = NeighborTable::from_nested(nested.clone());
+        let mut t = NeighborTable::new();
+        for row in &nested {
+            t.push_row(row);
+        }
         assert_eq!(t.len(), 4);
         assert_eq!(t.total_neighbors(), 6);
         assert_eq!(t.to_nested(), nested);
@@ -284,16 +263,6 @@ mod tests {
         assert!(NeighborTable::from_parts(vec![0, 1], vec![n(0.0, 0), n(0.0, 1)]).is_err());
         // empty offsets
         assert!(NeighborTable::from_parts(vec![], vec![]).is_err());
-    }
-
-    #[test]
-    fn into_nested_drains_and_matches_to_nested() {
-        let nested = vec![vec![n(0.5, 1), n(1.0, 2)], vec![], vec![n(0.25, 7)]];
-        let t = NeighborTable::from_nested(nested.clone());
-        assert_eq!(t.to_nested(), nested);
-        assert_eq!(t.into_nested(), nested);
-        // degenerate: empty table drains to no rows
-        assert!(NeighborTable::new().into_nested().is_empty());
     }
 
     #[test]
@@ -325,10 +294,11 @@ mod tests {
         assert_eq!(t.iter().count(), 0);
         assert_eq!(t.total_neighbors(), 0);
         // Default upholds the offsets invariant (a derived default would
-        // panic in len()/into_nested())
+        // panic in len())
         let d = NeighborTable::default();
         assert_eq!(d, t);
-        assert!(d.into_nested().is_empty());
+        assert_eq!(d.len(), 0);
+        assert!(d.to_nested().is_empty());
     }
 
     #[test]

@@ -53,7 +53,7 @@ use panda_obs::trace::{self, Stage};
 use panda_obs::{Counter, Registry, TraceId};
 
 use crate::build_distributed::{build_distributed, DistKdTree};
-use crate::config::{DistConfig, QueryConfig};
+use crate::config::DistConfig;
 use crate::counters::QueryCounters;
 use crate::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
 use crate::error::{PandaError, Result};
@@ -62,7 +62,7 @@ use crate::global_tree::GlobalKdTree;
 use crate::heap::Neighbor;
 use crate::local_tree::QueryWorkspace;
 use crate::point::PointSet;
-use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput, RemoteStats};
+use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput, PipelineParams, RemoteStats};
 use crate::timers::QueryBreakdown;
 
 /// First back-off after a worker panic; doubles per consecutive panic up
@@ -80,7 +80,7 @@ enum ShardJob {
     Knn {
         coords: Vec<f32>,
         qids: Vec<u64>,
-        cfg: Box<QueryConfig>,
+        params: PipelineParams,
         trace: TraceId,
     },
     /// Purely local fixed-radius serve (no collectives).
@@ -398,7 +398,7 @@ impl ShardedIndex {
         &self,
         coords: Vec<Vec<f32>>,
         qids: Vec<Vec<u64>>,
-        cfg: &QueryConfig,
+        params: PipelineParams,
         trace_id: TraceId,
         scatter_start: Instant,
     ) -> Result<Vec<OwnedOutput>> {
@@ -408,7 +408,7 @@ impl ShardedIndex {
                 .send(ShardJob::Knn {
                     coords: c,
                     qids: q,
-                    cfg: Box::new(*cfg),
+                    params,
                     trace: trace_id,
                 })
                 .map_err(|_| shard_gone())?;
@@ -523,7 +523,6 @@ impl NnBackend for ShardedIndex {
                 got: queries.dims(),
             });
         }
-        let cfg = req.to_query_config();
         let n = queries.len();
         let mut counters = QueryCounters::default();
         if n == 0 {
@@ -548,7 +547,13 @@ impl NnBackend for ShardedIndex {
             coords[owner].extend_from_slice(q);
             qids[owner].push(i as u64);
         }
-        let outs = self.run_knn_round(coords, qids, &cfg, req.trace(), scatter_start)?;
+        let outs = self.run_knn_round(
+            coords,
+            qids,
+            PipelineParams::of(req),
+            req.trace(),
+            scatter_start,
+        )?;
 
         // Gather: scatter each shard's CSR slice back to submission order.
         let mut row_counts = vec![0u32; n];
@@ -688,13 +693,13 @@ fn worker_loop(
             ShardJob::Knn {
                 coords,
                 qids,
-                cfg,
+                params,
                 trace: trace_id,
             } => {
                 let t0 = Instant::now();
                 let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     faultpoint::maybe_fail_ctx(points::SHARD_WORKER_QUERY, shard as u64)?;
-                    owned_pipeline(comm, tree, Owned { coords, qids }, &cfg)
+                    owned_pipeline(comm, tree, Owned { coords, qids }, &params)
                 }));
                 trace::record(trace_id, Stage::ShardWorker, t0);
                 meter.publish(&comm.stats());

@@ -27,8 +27,10 @@
 //!
 //! ## The local query hot path
 //!
-//! Three layers make the single-node path fast (see `BENCH_PR1.json` for
-//! measurements against the pre-optimization reference):
+//! Three layers make the single-node path fast. The kernels bench
+//! (`cargo bench -p panda-bench --bench kernels`) races the fused leaf
+//! kernel against the scalar two-pass reference, and Input against
+//! Morton order:
 //!
 //! * **Fused scan-and-offer leaf kernel**
 //!   ([`local_tree::PackedLeaves::scan_and_offer`]) — squared distances
@@ -101,8 +103,7 @@ pub mod split;
 pub mod timers;
 
 pub use config::{
-    BoundMode, DistConfig, HistScan, QueryConfig, QueryOrder, SplitDimStrategy, SplitValueStrategy,
-    TreeConfig,
+    BoundMode, DistConfig, HistScan, QueryOrder, SplitDimStrategy, SplitValueStrategy, TreeConfig,
 };
 pub use counters::{BuildCounters, QueryCounters};
 pub use engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse, ShardedIndex};

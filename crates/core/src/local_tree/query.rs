@@ -223,9 +223,8 @@ impl LocalKdTree {
     /// the pre-optimization implementation with a full `[f32; MAX_DIMS]`
     /// side-array copy on every stack push and a two-pass leaf scan
     /// (`distances()` into a buffer, then a scalar offer loop). Produces
-    /// results bit-identical to [`Self::query_into`]; the perf harness
-    /// (`bench_pr1`, the kernels bench) measures the fused hot path
-    /// against this.
+    /// results bit-identical to [`Self::query_into`], which the
+    /// differential tests check against this.
     pub fn query_into_reference(
         &self,
         q: &[f32],

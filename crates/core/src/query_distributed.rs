@@ -22,7 +22,7 @@
 //! The engine is **CSR-native and locality-aware** end to end:
 //!
 //! * Owned queries are optionally re-sorted along a Morton curve after
-//!   routing ([`crate::config::QueryConfig::order`]), so each pipeline
+//!   routing ([`QueryRequest::with_order`]), so each pipeline
 //!   step's local KNN and remote request streams touch spatially coherent
 //!   leaves; results are always scattered back to submission order.
 //! * Per-step heaps and the per-destination send buffers are persistent
@@ -43,15 +43,14 @@
 use panda_comm::{Comm, ReduceOp};
 
 use crate::build_distributed::DistKdTree;
-use crate::config::{QueryConfig, QueryOrder};
+use crate::config::{BoundMode, QueryOrder};
 use crate::counters::QueryCounters;
-use crate::engine::NeighborTable;
+use crate::engine::{NeighborTable, QueryRequest};
 use crate::error::{PandaError, Result};
 use crate::faultpoint::{self, points};
 use crate::heap::{KnnHeap, Neighbor};
 use crate::local_tree::QueryWorkspace;
 use crate::morton::morton_schedule_coords;
-use crate::point::PointSet;
 use crate::timers::{QueryBreakdown, StepTiming};
 
 /// Per-rank remote-traffic statistics (§V-A3 discussion: remote fan-out,
@@ -228,6 +227,32 @@ pub(crate) struct OwnedOutput {
     pub(crate) remote: RemoteStats,
 }
 
+/// The values of a [`QueryRequest`] that [`owned_pipeline`] reads. Free
+/// of the request's borrow of its queries, so it can ride a shard job.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PipelineParams {
+    pub(crate) k: usize,
+    /// Squared initial search radius (`∞` when the request is unbounded).
+    pub(crate) radius_sq: f32,
+    pub(crate) order: QueryOrder,
+    pub(crate) batch_size: usize,
+    pub(crate) bbox_routing: bool,
+    pub(crate) bound_mode: BoundMode,
+}
+
+impl PipelineParams {
+    pub(crate) fn of(req: &QueryRequest<'_>) -> Self {
+        Self {
+            k: req.k(),
+            radius_sq: req.radius_sq(),
+            order: req.order().unwrap_or_default(),
+            batch_size: req.batch_size(),
+            bbox_routing: req.bbox_routing(),
+            bound_mode: req.bound_mode(),
+        }
+    }
+}
+
 /// Stages 2–5 for the queries this rank owns: local KNN, identify remote
 /// ranks, remote KNN, merge — the batched collective pipeline that every
 /// rank of the communicator must enter in lockstep (even with zero owned
@@ -242,18 +267,14 @@ pub(crate) fn owned_pipeline(
     comm: &mut Comm,
     tree: &DistKdTree,
     mut owned: Owned,
-    cfg: &QueryConfig,
+    params: &PipelineParams,
 ) -> Result<OwnedOutput> {
     let dims = tree.global.dims();
     let p = comm.size();
     let me = comm.rank();
-    let k = cfg.k;
-    let use_bbox = cfg.bbox_routing;
-    let r0_sq = if cfg.initial_radius.is_finite() {
-        cfg.initial_radius * cfg.initial_radius
-    } else {
-        f32::INFINITY
-    };
+    let k = params.k;
+    let use_bbox = params.bbox_routing;
+    let r0_sq = params.radius_sq;
 
     let mut breakdown = QueryBreakdown::default();
     let mut counters = QueryCounters::default();
@@ -264,7 +285,7 @@ pub(crate) fn owned_pipeline(
     // every batch (and its request streams) touches coherent leaves. The
     // O(n log n) key sort is negligible next to traversal and is not
     // charged to the virtual clock.
-    if cfg.order == QueryOrder::Morton && owned.len() > 1 {
+    if params.order == QueryOrder::Morton && owned.len() > 1 {
         owned.reorder_morton(dims);
     }
     remote.owned_queries = owned.len() as u64;
@@ -274,7 +295,7 @@ pub(crate) fn owned_pipeline(
         let most = comm
             .world()
             .try_allreduce_u64(owned.len() as u64, ReduceOp::Max)?;
-        (most as usize).div_ceil(cfg.batch_size)
+        (most as usize).div_ceil(params.batch_size)
     };
 
     // Persistent per-step workspaces. The send lanes are recycled through
@@ -298,8 +319,8 @@ pub(crate) fn owned_pipeline(
 
     let stride = dims + 1;
     for step in 0..steps {
-        let lo = (step * cfg.batch_size).min(owned.len());
-        let hi = ((step + 1) * cfg.batch_size).min(owned.len());
+        let lo = (step * params.batch_size).min(owned.len());
+        let hi = ((step + 1) * params.batch_size).min(owned.len());
         let blen = hi - lo;
         let mut step_compute = 0.0f64;
         let mut step_comm = 0.0f64;
@@ -316,7 +337,7 @@ pub(crate) fn owned_pipeline(
             tree.local.query_into(
                 owned.point(i, dims),
                 heap,
-                cfg.bound_mode,
+                params.bound_mode,
                 &mut ws,
                 &mut local_counters,
             );
@@ -409,7 +430,7 @@ pub(crate) fn owned_pipeline(
                 tree.local.query_into(
                     q,
                     &mut serve_heap,
-                    cfg.bound_mode,
+                    params.bound_mode,
                     &mut ws,
                     &mut remote_counters,
                 );
@@ -510,9 +531,11 @@ pub(crate) fn owned_pipeline(
     })
 }
 
-/// The SPMD engine: every rank passes its own `queries`; results come
-/// back in the same order. `tree` must be the product of
-/// [`crate::build_distributed::build_distributed`] on the same cluster.
+/// The SPMD engine: every rank passes its own request; results come back
+/// in the order of the request's queries. The request is validated here
+/// exactly as every [`crate::engine::NnBackend`] validates it. `tree`
+/// must be the product of [`crate::build_distributed::build_distributed`]
+/// on the same cluster.
 ///
 /// This is the low-level entry point for callers that drive the SPMD
 /// world themselves (virtual-time scaling studies under
@@ -524,11 +547,10 @@ pub(crate) fn owned_pipeline(
 pub fn query_distributed(
     comm: &mut Comm,
     tree: &DistKdTree,
-    queries: &PointSet,
-    cfg: &QueryConfig,
+    req: &QueryRequest<'_>,
 ) -> Result<DistQueryOutput> {
-    cfg.validate()?;
-    queries.validate()?;
+    req.validate()?;
+    let queries = req.queries();
     let dims = tree.global.dims();
     if !queries.is_empty() && queries.dims() != dims {
         return Err(PandaError::DimsMismatch {
@@ -562,7 +584,7 @@ pub fn query_distributed(
     let (d_comp, d_comm) = clock_delta(comm, before);
 
     // ---- Stages 2–5 -----------------------------------------------------
-    let mut out = owned_pipeline(comm, tree, owned, cfg)?;
+    let mut out = owned_pipeline(comm, tree, owned, &PipelineParams::of(req))?;
     out.breakdown.find_owner += d_comp;
     out.breakdown.comm_total += d_comm;
     out.counters.add(&route_counters);
@@ -648,6 +670,7 @@ mod tests {
     use crate::build_distributed::build_distributed;
     use crate::config::{BoundMode, DistConfig};
     use crate::heap::KnnHeap;
+    use crate::point::PointSet;
     use crate::rng::SplitRng;
     use panda_comm::{run_cluster, ClusterConfig};
 
@@ -686,12 +709,8 @@ mod tests {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let cfg = QueryConfig {
-                k,
-                batch_size: batch,
-                ..QueryConfig::default()
-            };
-            let res = query_distributed(comm, &tree, &myq, &cfg).unwrap();
+            let req = QueryRequest::knn(&myq, k).with_batch_size(batch);
+            let res = query_distributed(comm, &tree, &req).unwrap();
             // pair each local query with its result distances
             (0..myq.len())
                 .map(|i| {
@@ -751,11 +770,8 @@ mod tests {
             } else {
                 PointSet::new(3).unwrap()
             };
-            let cfg = QueryConfig {
-                k: 100,
-                ..QueryConfig::default()
-            };
-            let res = query_distributed(comm, &tree, &myq, &cfg).unwrap();
+            let req = QueryRequest::knn(&myq, 100);
+            let res = query_distributed(comm, &tree, &req).unwrap();
             res.neighbors.get(0).map(<[Neighbor]>::len)
         });
         assert_eq!(out[0].result, Some(40));
@@ -773,11 +789,8 @@ mod tests {
             } else {
                 PointSet::new(3).unwrap()
             };
-            let cfg = QueryConfig {
-                k: 3,
-                ..QueryConfig::default()
-            };
-            let res = query_distributed(comm, &tree, &myq, &cfg).unwrap();
+            let req = QueryRequest::knn(&myq, 3);
+            let res = query_distributed(comm, &tree, &req).unwrap();
             res.neighbors.len()
         });
         assert_eq!(out[2].result, 10);
@@ -795,23 +808,13 @@ mod tests {
             let on = query_distributed(
                 comm,
                 &tree,
-                &myq,
-                &QueryConfig {
-                    k: 5,
-                    bbox_routing: true,
-                    ..QueryConfig::default()
-                },
+                &QueryRequest::knn(&myq, 5).with_bbox_routing(true),
             )
             .unwrap();
             let off = query_distributed(
                 comm,
                 &tree,
-                &myq,
-                &QueryConfig {
-                    k: 5,
-                    bbox_routing: false,
-                    ..QueryConfig::default()
-                },
+                &QueryRequest::knn(&myq, 5).with_bbox_routing(false),
             )
             .unwrap();
             let da: Vec<Vec<f32>> = on
@@ -843,7 +846,7 @@ mod tests {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).unwrap();
+            let res = query_distributed(comm, &tree, &QueryRequest::knn(&myq, 5)).unwrap();
             (res.breakdown.clone(), res.remote, res.counters)
         });
         let mut owned = 0u64;
@@ -869,12 +872,8 @@ mod tests {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let cfg = QueryConfig {
-                k: 5,
-                bound_mode: BoundMode::PaperScalar,
-                ..QueryConfig::default()
-            };
-            let res = query_distributed(comm, &tree, &myq, &cfg).unwrap();
+            let req = QueryRequest::knn(&myq, 5).with_bound_mode(BoundMode::PaperScalar);
+            let res = query_distributed(comm, &tree, &req).unwrap();
             (0..myq.len())
                 .map(|i| (myq.point(i).to_vec(), res.neighbors.row(i).len()))
                 .collect::<Vec<_>>()
@@ -910,7 +909,7 @@ mod tests {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(7)).unwrap();
+            let res = query_distributed(comm, &tree, &QueryRequest::knn(&myq, 7)).unwrap();
             (0..myq.len())
                 .map(|i| {
                     let d: Vec<f32> = res.neighbors.row(i).iter().map(|n| n.dist_sq).collect();
@@ -960,14 +959,8 @@ mod tests {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let cfg = QueryConfig {
-                k: 5,
-                batch_size: 32, // several steps
-                ..QueryConfig::default()
-            };
-            query_distributed(comm, &tree, &myq, &cfg)
-                .unwrap()
-                .breakdown
+            let req = QueryRequest::knn(&myq, 5).with_batch_size(32); // several steps
+            query_distributed(comm, &tree, &req).unwrap().breakdown
         });
         for o in &out {
             let b = &o.result;
@@ -994,27 +987,15 @@ mod tests {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let input = query_distributed(
-                comm,
-                &tree,
-                &myq,
-                &QueryConfig {
-                    k: 5,
-                    batch_size: 16,
-                    ..QueryConfig::default()
-                },
-            )
-            .unwrap();
+            let input =
+                query_distributed(comm, &tree, &QueryRequest::knn(&myq, 5).with_batch_size(16))
+                    .unwrap();
             let morton = query_distributed(
                 comm,
                 &tree,
-                &myq,
-                &QueryConfig {
-                    k: 5,
-                    batch_size: 16,
-                    order: crate::config::QueryOrder::Morton,
-                    ..QueryConfig::default()
-                },
+                &QueryRequest::knn(&myq, 5)
+                    .with_batch_size(16)
+                    .with_order(QueryOrder::Morton),
             )
             .unwrap();
             assert_eq!(input.neighbors, morton.neighbors, "order changed results");
@@ -1044,9 +1025,9 @@ mod tests {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
             let bad_q = random_ps(4, 2, 21);
-            let e1 = query_distributed(comm, &tree, &bad_q, &QueryConfig::with_k(3));
+            let e1 = query_distributed(comm, &tree, &QueryRequest::knn(&bad_q, 3));
             let good_q = random_ps(4, 3, 22);
-            let e2 = query_distributed(comm, &tree, &good_q, &QueryConfig::with_k(0));
+            let e2 = query_distributed(comm, &tree, &QueryRequest::knn(&good_q, 0));
             // everyone still needs to run a real query so the SPMD
             // collectives stay aligned? No — both error paths return
             // before any collective, symmetrically on all ranks.

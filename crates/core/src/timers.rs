@@ -187,15 +187,6 @@ impl QueryBreakdown {
         (all_compute - step_compute).max(0.0)
     }
 
-    /// Effective total under `pipelined` on/off.
-    pub fn total(&self, pipelined: bool) -> f64 {
-        if pipelined {
-            self.total_pipelined()
-        } else {
-            self.total_synchronous()
-        }
-    }
-
     /// Five-way values for the Fig. 5(c) chart: merge folded into remote
     /// KNN, communication as non-overlapped when `pipelined`.
     pub fn figure_values(&self, pipelined: bool) -> [f64; 5] {
@@ -341,8 +332,6 @@ mod tests {
         // 0.5 + max(1,4) + max(1,2) = 6.5
         assert!((q.total_pipelined() - 6.5).abs() < 1e-12);
         assert!(q.total_pipelined() < q.total_synchronous());
-        assert_eq!(q.total(true), q.total_pipelined());
-        assert_eq!(q.total(false), q.total_synchronous());
     }
 
     #[test]

@@ -31,8 +31,8 @@ fn main() {
         comm.barrier();
         let t_build = comm.now();
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let req = QueryRequest::knn(&myq, 5);
+        let res = query_distributed(comm, &tree, &req).expect("query");
         (
             t_build,
             tree.breakdown,

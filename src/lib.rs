@@ -275,8 +275,7 @@
 //! query distributions). The distributed engine is CSR-native end to
 //! end: responses are assembled directly into the flat
 //! [`NeighborTable`](prelude::NeighborTable) with no nested
-//! `Vec<Vec<Neighbor>>` intermediate (see `BENCH_PR3.json`, written by
-//! `cargo run --release --bin bench_pr3`).
+//! `Vec<Vec<Neighbor>>` intermediate.
 //!
 //! ## Observability
 //!
@@ -341,11 +340,13 @@
 //! |---|---|
 //! | `index.query_batch(&q, k)` → `(Vec<Vec<Neighbor>>, QueryCounters)` | `backend.query(&QueryRequest::knn(&q, k))` → `QueryResponse` |
 //! | `index.query_batch_ordered(&q, k, order)` | `QueryRequest::knn(&q, k).with_order(order)` |
-//! | `query_distributed(comm, &tree, &q, &cfg)` → `DistQueryResult` | `ShardedIndex::build(&pts, shards, &cfg)` then `backend.query(&req)` (or the SPMD `query_distributed` → `DistQueryOutput` under `run_cluster`) |
+//! | `query_distributed(comm, &tree, &q, &cfg)` → `DistQueryResult` | `ShardedIndex::build(&pts, shards, &cfg)` then `backend.query(&req)` (or the SPMD `query_distributed(comm, &tree, &req)` → `DistQueryOutput` under `run_cluster`) |
 //! | `brute.query_batch(&q, k, parallel)` | `QueryRequest::knn(&q, k).with_parallel(parallel)` |
 //! | `flann.query_batch(&q, k, parallel)` / `ann.query_batch(&q, k)` | same request, any backend |
 //! | `results[i]` (a `Vec<Neighbor>`) | `res.neighbors.row(i)` (a `&[Neighbor]` into one arena) |
-//! | `QueryConfig { initial_radius, .. }` | `QueryRequest::with_radius` (validated: positive finite) |
+//! | the distributed engine's config struct (`k`, `batch_size`, `bbox_routing`, `order`, `bound_mode`) | the same knobs on `QueryRequest`, which `query_distributed` takes directly and validates like every backend |
+//! | its `initial_radius` (`+inf` = no limit) | `QueryRequest::with_radius` (validated: positive finite; unbounded = no radius) |
+//! | its `pipeline` flag | removed: reported times always model software pipelining (`QueryBreakdown::total_pipelined`) |
 //! | `radius_search_distributed(..)` → `Vec<Vec<Neighbor>>` | same call → flat CSR `NeighborTable` |
 
 #![warn(missing_docs)]

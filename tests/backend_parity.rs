@@ -167,8 +167,8 @@ fn distributed_backends_agree_with_brute_force() {
         let tree = build_distributed(comm, mine.clone(), &DistConfig::default()).unwrap();
         let myq = scatter(&queries, rank, size);
         let dist_res = {
-            let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-            query_distributed(comm, &tree, &myq, &qcfg).unwrap()
+            let req = QueryRequest::knn(&myq, 5);
+            query_distributed(comm, &tree, &req).unwrap()
         };
         let lt = LocalTreesBackend::build_on(comm, &mine, &TreeConfig::default()).unwrap();
         let lt_res = {

@@ -305,8 +305,8 @@ fn stalled_rank_yields_typed_timeouts_and_quiesce_recovers() {
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&all, rank, comm.size());
 
-        let qcfg = QueryRequest::knn(&myq, 4).to_query_config();
-        let first = query_distributed(comm, &tree, &myq, &qcfg);
+        let req = QueryRequest::knn(&myq, 4);
+        let first = query_distributed(comm, &tree, &req);
         let first_kind = match (rank, first) {
             (1, Err(PandaError::FaultInjected { point })) => {
                 assert_eq!(point, points::DIST_EXCHANGE_ROUTE);
@@ -327,8 +327,7 @@ fn stalled_rank_yields_typed_timeouts_and_quiesce_recovers() {
         assert_eq!(parked, 0, "rank {rank}: mailbox leaked after quiesce");
         all_quiesced.wait();
 
-        let second =
-            query_distributed(comm, &tree, &myq, &qcfg).expect("post-quiesce query succeeds");
+        let second = query_distributed(comm, &tree, &req).expect("post-quiesce query succeeds");
         assert_eq!(second.neighbors.len(), myq.len());
         assert!(second.neighbors.iter().all(|row| row.len() == 4));
         first_kind
@@ -375,9 +374,8 @@ fn straggler_delay_is_masked_by_receive_retry() {
         let p = comm.size();
         let rank = comm.rank();
         let myq = scatter(&all, rank, p);
-        let qcfg = QueryRequest::knn(&myq, 3).to_query_config();
-        let res =
-            query_distributed(comm, &tree, &myq, &qcfg).expect("straggler absorbed, query exact");
+        let req = QueryRequest::knn(&myq, 3);
+        let res = query_distributed(comm, &tree, &req).expect("straggler absorbed, query exact");
         // strided scatter: local row i answers global query rank + i*p
         res.neighbors
             .iter()
@@ -434,8 +432,8 @@ fn late_stage_exchange_fault_is_also_typed_and_recoverable() {
         let mine = scatter(&all, rank, comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&all, rank, comm.size());
-        let qcfg = QueryRequest::knn(&myq, 3).to_query_config();
-        let first = query_distributed(comm, &tree, &myq, &qcfg);
+        let req = QueryRequest::knn(&myq, 3);
+        let first = query_distributed(comm, &tree, &req);
         let typed = matches!(
             first,
             Err(PandaError::FaultInjected { .. })
@@ -444,7 +442,7 @@ fn late_stage_exchange_fault_is_also_typed_and_recoverable() {
         torn_over.wait();
         comm.quiesce(2);
         all_quiesced.wait();
-        let second = query_distributed(comm, &tree, &myq, &qcfg);
+        let second = query_distributed(comm, &tree, &req);
         (typed, second.is_ok())
     });
     for o in &out {

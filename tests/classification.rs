@@ -19,8 +19,8 @@ fn distributed_dayabay_accuracy_in_paper_band() {
         let mine = scatter(&train, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&test, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let req = QueryRequest::knn(&myq, 5);
+        let res = query_distributed(comm, &tree, &req).expect("query");
         (0..myq.len())
             .map(|i| {
                 let truth = labels[myq.id(i) as usize];
@@ -68,8 +68,8 @@ fn distributed_equals_single_node_classification() {
         let mine = scatter(&train, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&test, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let req = QueryRequest::knn(&myq, 5);
+        let res = query_distributed(comm, &tree, &req).expect("query");
         (0..myq.len())
             .map(|i| {
                 (

@@ -47,7 +47,7 @@ where
             let req = QueryRequest::knn(&myq, k)
                 .with_batch_size(batch_size)
                 .with_order(order);
-            let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+            let res = query_distributed(comm, &tree, &req).expect("query");
             let rows: Vec<Vec<(u64, f32)>> = res
                 .neighbors
                 .iter()
@@ -203,7 +203,7 @@ fn morton_skewed_results_are_exact() {
         let req = QueryRequest::knn(&myq, 6)
             .with_batch_size(7)
             .with_order(QueryOrder::Morton);
-        let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+        let res = query_distributed(comm, &tree, &req).expect("query");
         (0..myq.len())
             .map(|i| {
                 (

@@ -25,7 +25,7 @@ fn assert_distributed_exact(
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(queries, comm.rank(), comm.size());
         let req = QueryRequest::knn(&myq, k).with_batch_size(batch);
-        let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+        let res = query_distributed(comm, &tree, &req).expect("query");
         (0..myq.len())
             .map(|i| {
                 (
@@ -137,7 +137,7 @@ fn k_spans_the_dataset_size() {
 
 #[test]
 fn radius_limited_distributed_knn() {
-    // QueryConfig::initial_radius bounds the search: results must be the
+    // QueryRequest::with_radius bounds the search: results must be the
     // brute-force top-k *filtered to the radius*, exactly.
     let all = uniform::generate(2000, 3, 1.0, 20);
     let queries = queries_from(&all, 40, 0.01, 21);
@@ -148,7 +148,7 @@ fn radius_limited_distributed_knn() {
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&queries, comm.rank(), comm.size());
         let req = QueryRequest::knn(&myq, 10).with_radius(radius);
-        let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+        let res = query_distributed(comm, &tree, &req).expect("query");
         (0..myq.len())
             .map(|i| {
                 (

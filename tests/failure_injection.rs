@@ -27,7 +27,7 @@ fn nan_queries_rejected_by_distributed_engine() {
         // validation; the request validation must still catch it)
         let mut q = PointSet::new(3).unwrap();
         q.push(&[0.5, f32::NAN, 0.5], 0);
-        let r = query_distributed(comm, &tree, &q, &QueryRequest::knn(&q, 3).to_query_config());
+        let r = query_distributed(comm, &tree, &QueryRequest::knn(&q, 3));
         matches!(r, Err(PandaError::NonFiniteCoordinate { .. }))
     });
     assert!(
@@ -43,26 +43,22 @@ fn zero_k_and_bad_configs_rejected() {
         let mine = scatter(&all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let q = scatter(&all, comm.rank(), comm.size());
-        let mut run = |cfg| query_distributed(comm, &tree, &q, &cfg);
-        let e1 = run(QueryRequest::knn(&q, 0).to_query_config());
-        let e2 = run(QueryRequest::knn(&q, 2)
-            .with_batch_size(0)
-            .to_query_config());
-        let e3 = run(QueryRequest::knn(&q, 2).with_radius(-1.0).to_query_config());
-        // `+inf` is the no-limit sentinel at the QueryConfig level, so the
-        // non-finite rejection case is exercised with NaN here
-        let e4 = run(QueryRequest::knn(&q, 2)
-            .with_radius(f32::NAN)
-            .to_query_config());
+        let mut run = |req: QueryRequest<'_>| query_distributed(comm, &tree, &req);
+        let e1 = run(QueryRequest::knn(&q, 0));
+        let e2 = run(QueryRequest::knn(&q, 2).with_batch_size(0));
+        let e3 = run(QueryRequest::knn(&q, 2).with_radius(-1.0));
+        let e4 = run(QueryRequest::knn(&q, 2).with_radius(f32::NAN));
+        let e5 = run(QueryRequest::knn(&q, 2).with_radius(f32::INFINITY));
         (
             matches!(e1, Err(PandaError::ZeroK)),
             matches!(e2, Err(PandaError::BadConfig(_))),
             matches!(e3, Err(PandaError::BadRadius { .. })),
             matches!(e4, Err(PandaError::BadRadius { .. })),
+            matches!(e5, Err(PandaError::BadRadius { .. })),
         )
     });
     for o in &out {
-        assert!(o.result.0 && o.result.1 && o.result.2 && o.result.3);
+        assert!(o.result.0 && o.result.1 && o.result.2 && o.result.3 && o.result.4);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Query-engine configuration must never change results: batching,
-//! pipelining, bbox routing and thread counts are performance knobs only.
+//! Query-engine configuration must never change results: batching, bbox
+//! routing and rank counts are performance knobs only.
 //! (The one deliberate exception — the paper's scalar bound — is verified
 //! to only ever *lose* neighbors, never invent closer ones.)
 
@@ -17,8 +17,7 @@ where
         let mine = scatter(&all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let res =
-            query_distributed(comm, &tree, &myq, &make_req(&myq).to_query_config()).expect("query");
+        let res = query_distributed(comm, &tree, &make_req(&myq)).expect("query");
         (0..myq.len())
             .map(|i| {
                 (
@@ -49,13 +48,6 @@ fn batch_size_is_result_invariant() {
         );
         assert_eq!(got, base, "batch={batch}");
     }
-}
-
-#[test]
-fn pipeline_flag_is_result_invariant() {
-    let on = run_with(|q| QueryRequest::knn(q, 5).with_pipeline(true), 4, 2);
-    let off = run_with(|q| QueryRequest::knn(q, 5).with_pipeline(false), 4, 2);
-    assert_eq!(on, off);
 }
 
 #[test]

@@ -112,8 +112,8 @@ proptest! {
                     myq.push(q, i as u64);
                 }
             }
-            let qcfg = QueryRequest::knn(&myq, k).to_query_config();
-            let res = query_distributed(comm, &tree, &myq, &qcfg).unwrap();
+            let req = QueryRequest::knn(&myq, k);
+            let res = query_distributed(comm, &tree, &req).unwrap();
             res.neighbors
                 .iter()
                 .map(|ns| ns.iter().map(|n| n.dist_sq).collect::<Vec<f32>>())

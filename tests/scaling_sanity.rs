@@ -16,8 +16,8 @@ fn run_times(ranks: usize, n: usize, seed: u64) -> (f64, f64) {
         comm.barrier();
         let t_build = comm.now();
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let req = QueryRequest::knn(&myq, 5);
+        let res = query_distributed(comm, &tree, &req).expect("query");
         comm.barrier();
         let t_total = comm.now();
         (t_build, t_total - t_build, res.breakdown)
@@ -74,8 +74,8 @@ fn breakdown_accounts_for_total() {
         let mine = scatter(&all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let req = QueryRequest::knn(&myq, 5);
+        let res = query_distributed(comm, &tree, &req).expect("query");
         (tree.breakdown, res.breakdown)
     });
     for o in &out {
@@ -133,8 +133,8 @@ fn communication_grows_with_ranks() {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-            let _ = query_distributed(comm, &tree, &myq, &qcfg).expect("q");
+            let req = QueryRequest::knn(&myq, 5);
+            let _ = query_distributed(comm, &tree, &req).expect("q");
         });
         totals.push(panda::comm::total_stats(&out).total_bytes());
     }
