@@ -63,10 +63,6 @@ struct ModeResult {
     latencies: Vec<f64>,
     /// `rows[client][request]` for the bit-identical gate.
     rows: Vec<Vec<Row>>,
-    /// Result-cache hits/misses from the service telemetry snapshot
-    /// (zero in direct mode, which has no cache).
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 /// Closed-loop clients calling `backend.query` one request at a time.
@@ -117,8 +113,6 @@ fn run_direct(
         wall_seconds: t0.elapsed().as_secs_f64(),
         latencies,
         rows,
-        cache_hits: 0,
-        cache_misses: 0,
     }
 }
 
@@ -187,14 +181,11 @@ fn run_service(
         stats.mean_batch_size(),
         stats.max_queue_depth
     );
-    let snap = service.telemetry();
     service.shutdown();
     ModeResult {
         wall_seconds: wall,
         latencies,
         rows,
-        cache_hits: snap.counter("service.cache.hits").unwrap_or(0),
-        cache_misses: snap.counter("service.cache.misses").unwrap_or(0),
     }
 }
 
@@ -321,11 +312,6 @@ fn main() {
             "      \"service_p50_us\": {:.1}, \"service_p99_us\": {:.1},",
             quantile(&s_lat, 0.5) * 1e6,
             quantile(&s_lat, 0.99) * 1e6
-        );
-        let _ = writeln!(
-            json,
-            "      \"service_cache_hits\": {}, \"service_cache_misses\": {},",
-            service.cache_hits, service.cache_misses
         );
         let _ = writeln!(json, "      \"service_vs_direct\": {speedup:.4}");
         let _ = writeln!(

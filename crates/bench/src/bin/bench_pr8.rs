@@ -45,9 +45,6 @@ struct CellResult {
     latencies: Vec<f64>,
     /// `rows[client][request]` for the bit-identical gate.
     rows: Vec<Vec<Row>>,
-    /// Result-cache hits/misses from the service telemetry snapshot.
-    cache_hits: u64,
-    cache_misses: u64,
     /// Worker restarts observed by this cell (always 0 in a clean run).
     shard_restarts: u64,
     /// Bytes moved by the comm layer during this cell (point-to-point
@@ -134,14 +131,11 @@ fn run_cell(
         stats.max_queue_depth
     );
     assert_eq!(index.shard_restarts(), 0, "no worker faults in a bench");
-    let snap = service.telemetry();
     service.shutdown();
     CellResult {
         wall_seconds: wall,
         latencies,
         rows,
-        cache_hits: snap.counter("service.cache.hits").unwrap_or(0),
-        cache_misses: snap.counter("service.cache.misses").unwrap_or(0),
         shard_restarts: index.shard_restarts(),
         comm_bytes: comm_bytes_total(index) - bytes_before,
     }
@@ -247,9 +241,8 @@ fn main() {
                 json,
                 "    {{ \"clients\": {clients}, \"shards\": {shards}, \"qps\": {qps:.1}, \
                  \"p50_us\": {p50:.1}, \"p99_us\": {p99:.1}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \
                  \"shard_restarts\": {}, \"comm_bytes\": {} }}",
-                best.cache_hits, best.cache_misses, best.shard_restarts, best.comm_bytes
+                best.shard_restarts, best.comm_bytes
             );
         }
     }

@@ -116,8 +116,6 @@ pub struct TreeConfig {
     pub exact_median_below: usize,
     /// RNG seed for all sampling, making construction deterministic.
     pub seed: u64,
-    /// Default execution order for `KnnIndex::query_session`.
-    pub query_order: QueryOrder,
 }
 
 impl Default for TreeConfig {
@@ -132,7 +130,6 @@ impl Default for TreeConfig {
             parallel: false,
             exact_median_below: 4096,
             seed: 0x9E3779B97F4A7C15,
-            query_order: QueryOrder::default(),
         }
     }
 }
@@ -194,13 +191,6 @@ impl TreeConfig {
         self.seed = s;
         self
     }
-
-    /// Builder-style: set the default batch execution order.
-    #[must_use]
-    pub fn with_query_order(mut self, o: QueryOrder) -> Self {
-        self.query_order = o;
-        self
-    }
 }
 
 /// Distributed construction parameters.
@@ -257,7 +247,6 @@ mod tests {
         assert_eq!(d.global_samples_per_rank, 256);
         assert_eq!(BoundMode::default(), BoundMode::Exact);
         assert_eq!(QueryOrder::default(), QueryOrder::Input);
-        assert_eq!(t.query_order, QueryOrder::Input);
     }
 
     #[test]

@@ -59,19 +59,18 @@ pub trait NnBackend {
     /// Dimensionality of the indexed points.
     fn dims(&self) -> usize;
 
-    /// Monotonic version stamp of the indexed data, used by caches to
-    /// invalidate memoized results. Immutable backends keep the default
-    /// constant `0`; mutable backends must return a value that changes
-    /// whenever a write could alter any query's answer.
+    /// Monotonic version stamp of the indexed data: anything that keeps
+    /// answers across calls can tell from it whether they may have gone
+    /// stale. Immutable backends keep the default constant `0`; mutable
+    /// backends must return a value that changes whenever a write could
+    /// alter any query's answer.
     fn data_epoch(&self) -> u64 {
         0
     }
 
     /// Number of independent shards serving this backend (`1` for every
-    /// single-node engine). Sizing hint for front-end caches: a sharded
-    /// backend fields proportionally more distinct hot traffic, so
-    /// per-shard capacities scale by this factor (see
-    /// `ServiceConfig::with_cache_capacity` in `panda_service`).
+    /// single-node engine). Callers that size or report per-shard work
+    /// (benchmarks, telemetry) read it instead of downcasting.
     fn shard_count(&self) -> usize {
         1
     }

@@ -32,6 +32,7 @@ mod response;
 mod sharded;
 
 pub use backend::NnBackend;
+pub(crate) use request::check_radius;
 pub use request::QueryRequest;
 pub use response::{NeighborTable, QueryResponse};
 pub use sharded::ShardedIndex;

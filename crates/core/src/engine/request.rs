@@ -199,14 +199,22 @@ impl<'a> QueryRequest<'a> {
             return Err(PandaError::ZeroK);
         }
         if let Some(r) = self.radius {
-            if !r.is_finite() || r <= 0.0 {
-                return Err(PandaError::BadRadius { radius: r });
-            }
+            check_radius(r)?;
         }
         if self.batch_size == 0 {
             return Err(PandaError::BadConfig("batch_size must be ≥ 1".into()));
         }
         self.queries.validate()
+    }
+}
+
+/// The radius check shared by every query path: a radius limit must be
+/// positive and finite, else [`PandaError::BadRadius`].
+pub(crate) fn check_radius(radius: f32) -> Result<()> {
+    if radius.is_finite() && radius > 0.0 {
+        Ok(())
+    } else {
+        Err(PandaError::BadRadius { radius })
     }
 }
 

@@ -46,7 +46,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use panda_comm::{make_endpoints, ClusterConfig, Comm, CommMeter};
 use panda_obs::trace::{self, Stage};
@@ -55,7 +55,7 @@ use panda_obs::{Counter, Registry, TraceId};
 use crate::build_distributed::{build_distributed, DistKdTree};
 use crate::config::DistConfig;
 use crate::counters::QueryCounters;
-use crate::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
+use crate::engine::{check_radius, NeighborTable, NnBackend, QueryRequest, QueryResponse};
 use crate::error::{PandaError, Result};
 use crate::faultpoint::{self, points};
 use crate::global_tree::GlobalKdTree;
@@ -63,14 +63,8 @@ use crate::heap::Neighbor;
 use crate::local_tree::QueryWorkspace;
 use crate::point::PointSet;
 use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput, PipelineParams, RemoteStats};
+use crate::supervise::{panic_message, restart_backoff};
 use crate::timers::QueryBreakdown;
-
-/// First back-off after a worker panic; doubles per consecutive panic up
-/// to [`RESTART_BACKOFF_MAX`] (mirrors the service scheduler's
-/// supervision discipline).
-const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(5);
-/// Ceiling for the restart back-off.
-const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(250);
 
 /// One unit of work shipped to a shard worker. Every round sends one job
 /// to **every** shard — the KNN pipeline is collective, so a shard with
@@ -162,17 +156,6 @@ fn lock_dispatch(index: &ShardedIndex) -> MutexGuard<'_, Dispatch> {
 
 fn shard_gone() -> PandaError {
     PandaError::BackendPanicked("shard worker disconnected".into())
-}
-
-/// Best human-readable rendering of a panic payload.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "worker panicked (non-string payload)".into()
-    }
 }
 
 /// Among the errors of a torn round, prefer a root cause over a symptom:
@@ -320,11 +303,10 @@ impl ShardedIndex {
     ///
     /// Unlike KNN there is no bound-refinement loop: each query is routed
     /// to every shard whose region intersects the ball and the workers
-    /// serve purely locally — no collectives at all.
+    /// serve purely locally — no collectives at all. The radius must be
+    /// positive and finite ([`PandaError::BadRadius`]).
     pub fn query_radius_all(&self, queries: &PointSet, radius: f32) -> Result<NeighborTable> {
-        if radius.is_nan() || radius <= 0.0 {
-            return Err(PandaError::BadConfig("radius must be positive".into()));
-        }
+        check_radius(radius)?;
         queries.validate()?;
         if !queries.is_empty() && queries.dims() != self.dims {
             return Err(PandaError::DimsMismatch {
@@ -753,9 +735,7 @@ fn supervise_panic(
     consecutive: &mut u32,
 ) -> PandaError {
     restarts.inc();
-    let backoff = RESTART_BACKOFF_BASE
-        .saturating_mul(1u32 << (*consecutive).min(16))
-        .min(RESTART_BACKOFF_MAX);
+    let backoff = restart_backoff(*consecutive);
     *consecutive = consecutive.saturating_add(1);
     std::thread::sleep(backoff);
     PandaError::BackendPanicked(format!(
@@ -926,6 +906,10 @@ mod tests {
                 .unwrap();
             assert_eq!(got.row(i), &want[..], "query {i}");
         }
+        assert!(matches!(
+            idx.query_radius_all(&queries, f32::INFINITY),
+            Err(PandaError::BadRadius { .. })
+        ));
     }
 
     #[test]

@@ -38,7 +38,6 @@ type ChunkResult = (Vec<(u32, u32)>, Vec<Neighbor>, QueryCounters);
 pub struct KnnIndex {
     tree: LocalKdTree,
     parallel: bool,
-    query_order: QueryOrder,
 }
 
 impl KnnIndex {
@@ -48,7 +47,6 @@ impl KnnIndex {
         Ok(Self {
             tree,
             parallel: cfg.parallel,
-            query_order: cfg.query_order,
         })
     }
 
@@ -84,7 +82,8 @@ impl KnnIndex {
 
     /// Answer a batch [`QueryRequest`] (the [`crate::engine::NnBackend`]
     /// entry point): kNN or radius-limited kNN, with per-request
-    /// overrides of execution order, bound mode, and parallelism.
+    /// overrides of execution order (input order unless the request
+    /// asks for another), bound mode, and parallelism.
     /// Results come back **in input order** as a flat CSR
     /// [`NeighborTable`]; workers fill chunk-local arenas that are
     /// spliced into the table, so the batch hot path performs no
@@ -96,7 +95,7 @@ impl KnnIndex {
             req.queries(),
             req.k(),
             req.radius_sq(),
-            req.order().unwrap_or(self.query_order),
+            req.order().unwrap_or(QueryOrder::Input),
             req.bound_mode(),
             req.parallel().unwrap_or(self.parallel),
         )?;
@@ -238,7 +237,7 @@ impl KnnIndex {
             points,
             k + 1,
             f32::INFINITY,
-            self.query_order,
+            QueryOrder::Input,
             BoundMode::Exact,
             self.parallel,
         )?;
@@ -488,30 +487,6 @@ mod tests {
             // each query's traversal is independent of execution order, so
             // the aggregate work must be identical too
             assert_eq!(a.counters, b.counters, "parallel={parallel}");
-        }
-    }
-
-    #[test]
-    fn configured_query_order_is_used_by_default() {
-        let ps = random_ps(2000, 3, 33);
-        let queries = random_ps(200, 3, 34);
-        let idx = KnnIndex::build(
-            &ps,
-            &TreeConfig::default().with_query_order(QueryOrder::Morton),
-        )
-        .unwrap();
-        let a = idx
-            .query_session(&QueryRequest::knn(&queries, 3))
-            .unwrap()
-            .neighbors;
-        let b = idx
-            .query_session(&QueryRequest::knn(&queries, 3).with_order(QueryOrder::Input))
-            .unwrap()
-            .neighbors;
-        for (x, y) in a.iter().zip(b.iter()) {
-            let dx: Vec<(f32, u64)> = x.iter().map(|n| (n.dist_sq, n.id)).collect();
-            let dy: Vec<(f32, u64)> = y.iter().map(|n| (n.dist_sq, n.id)).collect();
-            assert_eq!(dx, dy);
         }
     }
 

@@ -100,6 +100,7 @@ pub mod query_distributed;
 pub mod radius;
 pub mod rng;
 pub mod split;
+pub mod supervise;
 pub mod timers;
 
 pub use config::{

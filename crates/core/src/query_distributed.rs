@@ -139,7 +139,7 @@ pub(crate) fn check_qid_capacity(n_queries: usize, ranks: usize) -> Result<()> {
 }
 
 #[inline]
-fn qid(origin: usize, idx: usize) -> u64 {
+pub(crate) fn qid(origin: usize, idx: usize) -> u64 {
     debug_assert!((idx as u64) < MAX_QUERIES_PER_RANK, "qid index overflow");
     debug_assert!(
         (origin as u64) < MAX_QUERIES_PER_RANK,
@@ -154,7 +154,7 @@ fn qid_origin(q: u64) -> usize {
 }
 
 #[inline]
-fn qid_idx(q: u64) -> usize {
+pub(crate) fn qid_idx(q: u64) -> usize {
     (q & QID_IDX_MASK) as usize
 }
 

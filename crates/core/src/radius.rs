@@ -11,19 +11,19 @@ use panda_comm::{Comm, ReduceOp};
 
 use crate::build_distributed::DistKdTree;
 use crate::counters::QueryCounters;
-use crate::engine::NeighborTable;
+use crate::engine::{check_radius, NeighborTable};
 use crate::error::{PandaError, Result};
 use crate::heap::Neighbor;
 use crate::local_tree::{LocalKdTree, QueryWorkspace, TraversalEntry, NO_APPLY};
 use crate::point::PointSet;
+use crate::query_distributed::{check_qid_capacity, qid, qid_idx};
 
 impl LocalKdTree {
     /// **All** points strictly within `radius` of `q` (no k cap),
-    /// ascending by distance. Exact.
+    /// ascending by distance. Exact. The radius must be positive and
+    /// finite ([`PandaError::BadRadius`]).
     pub fn query_radius_all(&self, q: &[f32], radius: f32) -> Result<Vec<Neighbor>> {
-        if radius.is_nan() || radius <= 0.0 {
-            return Err(PandaError::BadConfig("radius must be positive".into()));
-        }
+        check_radius(radius)?;
         if q.len() != self.dims() {
             return Err(PandaError::DimsMismatch {
                 expected: self.dims(),
@@ -115,7 +115,8 @@ impl LocalKdTree {
 
 /// Distributed fixed-radius search (SPMD): every rank passes its own
 /// queries; each gets, per query, **all** dataset points strictly within
-/// `radius`, ascending by distance.
+/// `radius`, ascending by distance. The radius must be positive and
+/// finite ([`PandaError::BadRadius`]).
 ///
 /// Results come back as a flat CSR [`NeighborTable`] (row `i` answers
 /// `queries.point(i)`), assembled in place via
@@ -128,9 +129,7 @@ pub fn radius_search_distributed(
     queries: &PointSet,
     radius: f32,
 ) -> Result<NeighborTable> {
-    if radius.is_nan() || radius <= 0.0 {
-        return Err(PandaError::BadConfig("radius must be positive".into()));
-    }
+    check_radius(radius)?;
     let dims = tree.global.dims();
     if !queries.is_empty() && queries.dims() != dims {
         return Err(PandaError::DimsMismatch {
@@ -141,6 +140,7 @@ pub fn radius_search_distributed(
     queries.validate()?;
     let p = comm.size();
     let me = comm.rank();
+    check_qid_capacity(queries.len(), p)?;
     let r_sq = radius * radius;
     let mut counters = QueryCounters::default();
 
@@ -157,7 +157,7 @@ pub fn radius_search_distributed(
             .ranks_in_ball(q, r_sq, true, &mut targets, &mut counters);
         for &r in &targets {
             coord_sends[r].extend_from_slice(q);
-            qid_sends[r].push(((me as u64) << 32) | i as u64);
+            qid_sends[r].push(qid(me, i));
         }
     }
     let coords_in = comm.world().alltoallv(coord_sends);
@@ -195,14 +195,14 @@ pub fn radius_search_distributed(
     let mut row_counts = vec![0u32; queries.len()];
     for meta in &meta_in {
         for pair in meta.chunks_exact(2) {
-            row_counts[(pair[0] & 0xFFFF_FFFF) as usize] += 1;
+            row_counts[qid_idx(pair[0])] += 1;
         }
     }
     let mut table = NeighborTable::with_row_counts(&row_counts)?;
     let mut written = vec![0u32; queries.len()];
     for (meta, dists) in meta_in.iter().zip(&dist_in) {
         for (pair, &d) in meta.chunks_exact(2).zip(dists) {
-            let idx = (pair[0] & 0xFFFF_FFFF) as usize;
+            let idx = qid_idx(pair[0]);
             table.row_mut(idx)[written[idx] as usize] = Neighbor {
                 dist_sq: d,
                 id: pair[1],
@@ -275,8 +275,15 @@ mod tests {
     fn local_radius_validates() {
         let ps = random_ps(100, 3, 5);
         let tree = LocalKdTree::build(&ps, &TreeConfig::default()).unwrap();
-        assert!(tree.query_radius_all(&[0.0; 3], 0.0).is_err());
-        assert!(tree.query_radius_all(&[0.0; 3], -1.0).is_err());
+        for r in [0.0, -1.0, f32::INFINITY, f32::NAN] {
+            assert!(
+                matches!(
+                    tree.query_radius_all(&[0.0; 3], r),
+                    Err(PandaError::BadRadius { .. })
+                ),
+                "radius {r} must be rejected with BadRadius"
+            );
+        }
         assert!(tree.query_radius_all(&[0.0; 2], 1.0).is_err());
     }
 

@@ -4,7 +4,7 @@ use crate::metrics::bucket_upper_edge;
 use crate::registry::{MetricValue, Snapshot};
 
 /// Mangle a dotted metric name into a Prometheus-legal one:
-/// `service.cache.hits` → `panda_service_cache_hits`.
+/// `store.wal.fsyncs` → `panda_store_wal_fsyncs`.
 #[must_use]
 pub fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 6);
@@ -102,8 +102,8 @@ mod tests {
     #[test]
     fn name_mangling() {
         assert_eq!(
-            prometheus_name("service.cache.hits"),
-            "panda_service_cache_hits"
+            prometheus_name("store.wal.fsyncs"),
+            "panda_store_wal_fsyncs"
         );
         assert_eq!(
             prometheus_name("fault.store.wal-append"),

@@ -1,6 +1,6 @@
 //! Named metric registry and coherent [`Snapshot`]s.
 //!
-//! A [`Registry`] maps dotted metric names (`service.cache.hits`,
+//! A [`Registry`] maps dotted metric names (`service.submitted`,
 //! `store.wal.fsyncs`, …) to live metric handles. Registration takes a
 //! short mutex; the handles themselves are lock-free, so the registry
 //! is touched only at construction / wiring time, never on hot paths.

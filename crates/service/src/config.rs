@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use panda_core::{PandaError, QueryOrder, Result};
+use panda_core::{PandaError, Result};
 
 /// What `submit` does when the bounded queue is full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,6 +24,11 @@ pub enum OverflowPolicy {
 /// `max_delay`. Small `max_delay` bounds tail latency under light load;
 /// `max_batch` bounds memory and keeps heavy load flowing in
 /// locality-friendly chunks.
+///
+/// Every flushed batch runs in Morton order, so queries from unrelated
+/// clients share tree paths and cached leaves, with whatever
+/// parallelism the backend was built with. Results are scattered back
+/// per client, so neither choice changes any answer.
 ///
 /// ```
 /// use panda_service::{OverflowPolicy, ServiceConfig};
@@ -49,40 +54,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Behavior when the queue is full.
     pub overflow: OverflowPolicy,
-    /// Execution order for each coalesced batch. The default `Morton`
-    /// re-sorts every micro-batch along the Z-order curve — the whole
-    /// point of coalescing: queries from unrelated clients share tree
-    /// paths and cached leaves. Results are scattered back per client
-    /// regardless, so the knob never changes values.
-    pub order: QueryOrder,
-    /// Per-batch override of the backend's thread-parallel execution
-    /// (`None` keeps whatever the backend was built with).
-    pub parallel: Option<bool>,
-    /// **Per-shard** capacity (in submissions) of the hot-query result
-    /// cache; `0` (the default) disables caching entirely. When
-    /// enabled, `submit` resolves repeated submissions — same
-    /// coordinate bit patterns, `k`, radius, and bound mode — straight
-    /// from an LRU memo without touching the queue or the backend. The
-    /// effective capacity is `cache_capacity ×
-    /// [`shard_count`](panda_core::engine::NnBackend::shard_count)`, so
-    /// the same config serves a single-tree index and a many-shard
-    /// engine without starving the latter's proportionally larger hot
-    /// set. Unless [`cache_ttl`](Self::cache_ttl) is set, the cache is
-    /// invalidated whenever the backend's
-    /// [`data_epoch`](panda_core::engine::NnBackend::data_epoch) moves,
-    /// so mutable backends never serve stale answers. Hits and misses
-    /// are counted in [`crate::ServiceStats`].
-    pub cache_capacity: usize,
-    /// Optional per-entry time-to-live for the result cache. `None`
-    /// (the default) keeps epoch invalidation: any backend write clears
-    /// the whole cache, guaranteeing zero staleness but also zeroing
-    /// the hit rate under a steady write trickle. `Some(ttl)` switches
-    /// to per-entry expiry instead — epoch moves are ignored, and each
-    /// memo serves for at most `ttl` after insertion. Choose it when
-    /// the workload tolerates answers up to `ttl` stale (monitoring
-    /// probes, dashboards) in exchange for cache hits that survive
-    /// writes. Ignored while `cache_capacity` is 0.
-    pub cache_ttl: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -92,10 +63,6 @@ impl Default for ServiceConfig {
             max_delay: Duration::from_micros(500),
             queue_capacity: 8192,
             overflow: OverflowPolicy::Block,
-            order: QueryOrder::Morton,
-            parallel: None,
-            cache_capacity: 0,
-            cache_ttl: None,
         }
     }
 }
@@ -129,38 +96,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the per-batch execution order.
-    #[must_use]
-    pub fn with_order(mut self, order: QueryOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Override the backend's thread-parallel batch execution.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Set the hot-query result-cache capacity in submissions **per
-    /// backend shard** (`0` disables the cache, the default); see
-    /// [`cache_capacity`](Self::cache_capacity).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Give cache entries a per-entry time-to-live instead of epoch
-    /// invalidation; see [`cache_ttl`](Self::cache_ttl) for the
-    /// staleness trade.
-    #[must_use]
-    pub fn with_cache_ttl(mut self, ttl: Duration) -> Self {
-        self.cache_ttl = Some(ttl);
-        self
-    }
-
     /// Validate: `max_batch ≥ 1`, `queue_capacity ≥ max_batch` (a full
     /// batch must be queueable), non-zero `max_delay`.
     pub fn validate(&self) -> Result<()> {
@@ -191,17 +126,13 @@ mod tests {
         let cfg = ServiceConfig::default();
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.overflow, OverflowPolicy::Block);
-        assert_eq!(cfg.order, QueryOrder::Morton);
         let cfg = cfg
             .with_max_batch(64)
             .with_max_delay(Duration::from_millis(2))
             .with_queue_capacity(64)
-            .with_overflow(OverflowPolicy::Reject)
-            .with_order(QueryOrder::Input)
-            .with_parallel(true);
+            .with_overflow(OverflowPolicy::Reject);
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.max_batch, 64);
-        assert_eq!(cfg.parallel, Some(true));
     }
 
     #[test]

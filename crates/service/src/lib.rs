@@ -31,9 +31,8 @@
 //! * [`QueryService::drain`] flushes everything outstanding,
 //!   [`QueryService::shutdown`] additionally stops intake and joins the
 //!   scheduler, and [`QueryService::stats`] surfaces queue depth, a
-//!   batch-size histogram, p50/p99/p999 submit→resolve latency (overall
-//!   and per batch-size bucket), and the robustness counters
-//!   ([`ServiceStats`]).
+//!   batch-size histogram, p50/p99/p999 submit→resolve latency, and the
+//!   robustness counters ([`ServiceStats`]).
 //!
 //! ## Degrading gracefully
 //!
@@ -67,19 +66,6 @@
 //! Exactness is untouched: coalescing and Morton ordering are locality
 //! plays — every client gets bit-identical neighbors to a direct
 //! `query_session` call (pinned by `tests/service_parity.rs`).
-//!
-//! ## Caching hot queries
-//!
-//! Serving workloads repeat themselves; with
-//! [`ServiceConfig::with_cache_capacity`] the service memoizes resolved
-//! submissions in an LRU keyed on the coordinate **bit patterns**, `k`,
-//! radius, and bound mode — a repeat resolves straight from the memo
-//! (zero-copy, no queue, no backend) and is counted in
-//! [`ServiceStats::cache_hits`]. The cache invalidates itself whenever
-//! the backend's
-//! [`data_epoch`](panda_core::engine::NnBackend::data_epoch) moves, so
-//! mutable backends (`panda-store`) never serve stale answers. Off by
-//! default.
 //!
 //! ## Serving the distributed engine
 //!
@@ -123,7 +109,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod config;
 mod metrics;
 mod service;

@@ -1,8 +1,7 @@
 //! Service observability: lock-free counters (including the robustness
 //! set: deadline sheds, cancellations, scheduler restarts, abandoned
-//! tickets), a batch-size histogram, and latency histograms with
-//! quantile readout — overall and split per batch-size bucket — all
-//! surfaced as a [`ServiceStats`] snapshot the way distributed
+//! tickets), a batch-size histogram, and a latency histogram with
+//! quantile readout, all surfaced as a [`ServiceStats`] snapshot the way distributed
 //! responses surface `QueryBreakdown`.
 //!
 //! Since the `panda_obs` unification the live cells are shared
@@ -13,7 +12,7 @@
 
 use std::time::Duration;
 
-use panda_obs::{pow2_bucket, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+use panda_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
 /// Power-of-two batch-size buckets: bucket `i` counts batches of
 /// `2^i ..= 2^(i+1) - 1` query points (bucket 0 is size 1).
@@ -36,16 +35,10 @@ pub(crate) struct Metrics {
     pub cancelled: Counter,
     pub scheduler_restarts: Counter,
     pub abandoned: Counter,
-    pub cache_hits: Counter,
-    pub cache_misses: Counter,
     pub queue_depth: Gauge,
     pub max_queue_depth: Gauge,
     batch_hist: Histogram,
     latency_hist: Histogram,
-    /// Latency split by batch-size bucket. Deliberately *not* registered
-    /// (21 × 41 buckets would drown an exposition page); served through
-    /// [`ServiceStats`] only.
-    latency_by_batch: Vec<Histogram>,
 }
 
 impl Default for Metrics {
@@ -66,15 +59,10 @@ impl Metrics {
             cancelled: registry.counter("service.cancelled"),
             scheduler_restarts: registry.counter("service.scheduler_restarts"),
             abandoned: registry.counter("service.abandoned"),
-            cache_hits: registry.counter("service.cache.hits"),
-            cache_misses: registry.counter("service.cache.misses"),
             queue_depth: registry.gauge("service.queue_depth"),
             max_queue_depth: registry.gauge("service.queue_depth_max"),
             batch_hist: registry.histogram("service.batch_size", BATCH_BUCKETS),
             latency_hist: registry.histogram("service.latency_ns", LATENCY_BUCKETS),
-            latency_by_batch: (0..BATCH_BUCKETS)
-                .map(|_| Histogram::new(LATENCY_BUCKETS))
-                .collect(),
             registry,
         }
     }
@@ -84,17 +72,10 @@ impl Metrics {
         self.batch_hist.record(queries as u64);
     }
 
-    /// Record a submit→resolve latency. `batch_queries` is the size of
-    /// the coalesced batch the submission executed in — `None` for
-    /// requests that never reached a backend (shed, cancelled, repaired
-    /// after a scheduler panic), which therefore appear in the overall
-    /// histogram but not the per-batch-size ones.
-    pub(crate) fn record_latency(&self, waited: Duration, batch_queries: Option<usize>) {
+    /// Record a submit→resolve latency.
+    pub(crate) fn record_latency(&self, waited: Duration) {
         let ns = waited.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.latency_hist.record(ns);
-        if let Some(q) = batch_queries {
-            self.latency_by_batch[pow2_bucket(q as u64, BATCH_BUCKETS)].record(ns);
-        }
     }
 
     /// Track the current queued query-point count; remembers the high
@@ -116,16 +97,10 @@ impl Metrics {
             cancelled: self.cancelled.get(),
             scheduler_restarts: self.scheduler_restarts.get(),
             abandoned: self.abandoned.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
             queue_depth: self.queue_depth.get() as usize,
             max_queue_depth: self.max_queue_depth.get() as usize,
             batch_hist: std::array::from_fn(|i| batch.counts[i]),
             latency_hist: std::array::from_fn(|i| latency.counts[i]),
-            latency_by_batch: std::array::from_fn(|b| {
-                let s = self.latency_by_batch[b].snapshot();
-                std::array::from_fn(|i| s.counts[i])
-            }),
             latency_sum_seconds: latency.sum as f64 * 1e-9,
         }
     }
@@ -156,15 +131,6 @@ pub struct ServiceStats {
     /// Tickets whose client dropped the handle before the reply arrived
     /// (e.g. after a `wait_timeout` miss); the reply was discarded.
     pub abandoned: u64,
-    /// Submissions answered straight from the hot-query result cache
-    /// (counted in [`submitted`](Self::submitted) but not in
-    /// [`queries`](Self::queries) — a hit never joins a batch, so batch
-    /// statistics stay honest). Always `0` when
-    /// [`crate::ServiceConfig::cache_capacity`] is `0`.
-    pub cache_hits: u64,
-    /// Cache probes that missed and fell through to the normal queue
-    /// path. `0` when the cache is disabled (disabled ≠ missing).
-    pub cache_misses: u64,
     /// Query points queued at snapshot time.
     pub queue_depth: usize,
     /// Largest queued query-point count ever observed.
@@ -175,12 +141,6 @@ pub struct ServiceStats {
     /// Request-latency histogram (submit → ticket resolved): bucket `i`
     /// counts requests in `2^i ..= 2^(i+1) - 1` nanoseconds.
     pub latency_hist: [u64; LATENCY_BUCKETS],
-    /// Latency histograms split by the batch size a request executed in:
-    /// `latency_by_batch[b]` is the latency histogram of requests whose
-    /// coalesced batch fell in batch-size bucket `b`. Shed / cancelled /
-    /// repaired requests never executed, so they appear only in
-    /// [`latency_hist`](Self::latency_hist).
-    pub latency_by_batch: [[u64; LATENCY_BUCKETS]; BATCH_BUCKETS],
     /// Sum of all request latencies, for means.
     pub latency_sum_seconds: f64,
 }
@@ -217,17 +177,6 @@ impl ServiceStats {
         hist_quantile_seconds(&self.latency_hist, q)
     }
 
-    /// Latency quantile restricted to requests whose coalesced batch
-    /// held `batch_size` query points (same power-of-two bucketing as
-    /// [`batch_hist`](Self::batch_hist)). Returns `0.0` when no request
-    /// has resolved in that batch-size bucket yet.
-    pub fn latency_quantile_for_batch_seconds(&self, batch_size: usize, q: f64) -> f64 {
-        hist_quantile_seconds(
-            &self.latency_by_batch[pow2_bucket(batch_size as u64, BATCH_BUCKETS)],
-            q,
-        )
-    }
-
     /// Median submit→resolve latency (seconds, bucket-resolution).
     pub fn p50_latency_seconds(&self) -> f64 {
         self.latency_quantile_seconds(0.50)
@@ -260,6 +209,7 @@ fn hist_quantile_seconds(hist: &[u64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use panda_obs::pow2_bucket;
 
     #[test]
     fn pow2_buckets_cover_the_range() {
@@ -277,9 +227,9 @@ mod tests {
         m.record_batch(1);
         m.record_batch(64);
         m.record_batch(65);
-        m.record_latency(Duration::from_micros(10), Some(64));
-        m.record_latency(Duration::from_micros(10), Some(64));
-        m.record_latency(Duration::from_millis(5), None);
+        m.record_latency(Duration::from_micros(10));
+        m.record_latency(Duration::from_micros(10));
+        m.record_latency(Duration::from_millis(5));
         m.set_queue_depth(7);
         m.set_queue_depth(3);
         let s = m.snapshot();
@@ -290,31 +240,6 @@ mod tests {
         assert_eq!(s.queue_depth, 3);
         assert_eq!(s.max_queue_depth, 7);
         assert!(s.mean_latency_seconds() > 0.0);
-        // the two batched requests landed in the size-64 bucket's
-        // histogram; the batch-less one only in the overall histogram
-        let per_batch: u64 = s.latency_by_batch[6].iter().sum();
-        assert_eq!(per_batch, 2);
-        let all_batched: u64 = s.latency_by_batch.iter().flatten().sum();
-        assert_eq!(all_batched, 2);
-    }
-
-    #[test]
-    fn per_batch_quantiles_are_isolated_by_bucket() {
-        let m = Metrics::new();
-        // singleton batches resolve fast, big batches slowly
-        for _ in 0..10 {
-            m.record_latency(Duration::from_nanos(1000), Some(1));
-            m.record_latency(Duration::from_micros(100), Some(1000));
-        }
-        let s = m.snapshot();
-        let fast = s.latency_quantile_for_batch_seconds(1, 0.99);
-        let slow = s.latency_quantile_for_batch_seconds(1000, 0.99);
-        assert!((fast - 1023e-9).abs() < 1e-12, "fast={fast}");
-        assert!(slow > 50e-6, "slow={slow}");
-        // the overall p99 is dominated by the slow half
-        assert!(s.p99_latency_seconds() > 50e-6);
-        // an untouched bucket reads zero
-        assert_eq!(s.latency_quantile_for_batch_seconds(32, 0.99), 0.0);
     }
 
     #[test]
@@ -322,9 +247,9 @@ mod tests {
         let m = Metrics::new();
         // 1 straggler in 501: beyond the 99.9th percentile, inside 99th
         for _ in 0..500 {
-            m.record_latency(Duration::from_nanos(1000), None);
+            m.record_latency(Duration::from_nanos(1000));
         }
-        m.record_latency(Duration::from_millis(8), None);
+        m.record_latency(Duration::from_millis(8));
         let s = m.snapshot();
         assert!((s.p99_latency_seconds() - 1023e-9).abs() < 1e-12);
         assert!(s.p999_latency_seconds() >= 8e-3, "p999 sees the straggler");
@@ -348,9 +273,9 @@ mod tests {
     fn quantiles_are_conservative_bucket_edges() {
         let m = Metrics::new();
         for _ in 0..99 {
-            m.record_latency(Duration::from_nanos(1000), None); // bucket 9 (512..1023)
+            m.record_latency(Duration::from_nanos(1000)); // bucket 9 (512..1023)
         }
-        m.record_latency(Duration::from_nanos(1 << 20), None);
+        m.record_latency(Duration::from_nanos(1 << 20));
         let s = m.snapshot();
         let p50 = s.p50_latency_seconds();
         // upper edge of the 1000ns bucket: 2^10 - 1 ns
@@ -372,13 +297,11 @@ mod tests {
     fn registry_view_matches_stats_view() {
         let m = Metrics::new();
         m.submitted.add(5);
-        m.cache_hits.add(2);
         m.record_batch(16);
-        m.record_latency(Duration::from_micros(3), Some(16));
+        m.record_latency(Duration::from_micros(3));
         let snap = m.registry.snapshot();
         let stats = m.snapshot();
         assert_eq!(snap.counter("service.submitted"), Some(stats.submitted));
-        assert_eq!(snap.counter("service.cache.hits"), Some(stats.cache_hits));
         assert_eq!(
             snap.histogram("service.batch_size").unwrap().total(),
             stats.batches

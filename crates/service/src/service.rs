@@ -7,22 +7,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use panda_core::engine::{NnBackend, QueryRequest, QueryResponse};
+use panda_core::supervise::{panic_message, restart_backoff};
 use panda_core::{
-    faultpoint, BoundMode, NeighborTable, PandaError, PointSet, QueryCounters, Result,
+    faultpoint, BoundMode, NeighborTable, PandaError, PointSet, QueryCounters, QueryOrder, Result,
 };
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Snapshot, TraceId};
 
-use crate::cache::{CacheKey, ResultCache};
 use crate::config::{OverflowPolicy, ServiceConfig};
 use crate::metrics::{Metrics, ServiceStats};
 use crate::ticket::{Ticket, TicketReply, TicketShared, WakeHub};
 
-/// First restart delay after a scheduler panic; doubles per consecutive
-/// panic up to [`RESTART_BACKOFF_MAX`].
-const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(5);
-/// Upper bound on the supervisor's restart backoff.
-const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(250);
 /// A scheduler incarnation that survives this long resets the
 /// consecutive-panic count (the fault was transient, not systemic).
 const RESTART_HEALTHY_RESET: Duration = Duration::from_secs(5);
@@ -49,10 +44,6 @@ struct Pending {
     /// submission is still queued when `enqueued_at + deadline` passes,
     /// the scheduler sheds it at flush time instead of executing it.
     deadline: Option<Duration>,
-    /// Result-cache key plus the backend data epoch sampled at probe
-    /// time; `Some` only when the cache is enabled and this submission
-    /// missed it (a successful execution memoizes the reply here).
-    cache_key: Option<(Arc<CacheKey>, u64)>,
     /// Sampled pipeline trace id minted at submit ([`TraceId::NONE`] for
     /// the unsampled majority).
     trace: TraceId,
@@ -88,11 +79,6 @@ struct ServiceInner {
     /// Ticket wake-up: one broadcast per resolved micro-batch.
     wake: Arc<WakeHub>,
     metrics: Metrics,
-    /// Hot-query result cache (`None` when
-    /// [`ServiceConfig::cache_capacity`] is `0`). Guarded by its own
-    /// mutex, not the queue lock: probes and populates never serialize
-    /// submitters against the scheduler.
-    cache: Option<Mutex<ResultCache>>,
 }
 
 impl ServiceInner {
@@ -150,37 +136,6 @@ impl ServiceInner {
         } else {
             trace::maybe_sample()
         };
-        // Hot-query cache probe: a repeated submission resolves right
-        // here with a zero-copy clone of the memoized reply — no queue,
-        // no scheduler, no backend. The backend data epoch is sampled
-        // at probe time; `lookup` clears the cache if it moved, and the
-        // same sample guards the eventual insert on the miss path.
-        let cache_key = match &self.cache {
-            Some(cache) => {
-                let ck = Arc::new(
-                    CacheKey::new(queries, key.k, key.radius_bits).with_bound_mode(key.bound_mode),
-                );
-                let now_epoch = self.backend.data_epoch();
-                let probe_start = Instant::now();
-                let hit = cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .lookup(&ck, now_epoch);
-                if let Some(reply) = hit {
-                    self.metrics.submitted.inc();
-                    self.metrics.cache_hits.inc();
-                    self.metrics.record_latency(probe_start.elapsed(), None);
-                    // A cache hit is the whole pipeline: one Resolve span.
-                    trace::record(trace_id, Stage::Resolve, probe_start);
-                    return Ok(Ticket {
-                        shared: TicketShared::resolved(Arc::clone(&self.wake), Ok(reply)),
-                    });
-                }
-                self.metrics.cache_misses.inc();
-                Some((ck, now_epoch))
-            }
-            None => None,
-        };
         let ticket = TicketShared::pending(Arc::clone(&self.wake));
         // Stamped before any capacity wait, so the latency histogram
         // reflects what the client observed — including time parked on
@@ -220,7 +175,6 @@ impl ServiceInner {
                 ticket: Arc::clone(&ticket),
                 enqueued_at,
                 deadline: req.deadline(),
-                cache_key,
                 trace: trace_id,
             });
             st.queued_queries += n;
@@ -262,15 +216,12 @@ impl ServiceInner {
         self.space.notify_all();
     }
 
-    /// Resolve one submission and record its end-to-end latency.
-    /// `batch_queries` is the coalesced batch size it executed in
-    /// (`None` when it never reached a backend). The waiter is *not*
-    /// woken here — callers broadcast once per drain cycle. A client
-    /// that already walked away (dropped its ticket while pending) is
-    /// counted as abandoned.
-    fn resolve(&self, pending: Pending, result: Result<TicketReply>, batch_queries: Option<usize>) {
-        self.metrics
-            .record_latency(pending.enqueued_at.elapsed(), batch_queries);
+    /// Resolve one submission and record its end-to-end latency. The
+    /// waiter is *not* woken here — callers broadcast once per drain
+    /// cycle. A client that already walked away (dropped its ticket
+    /// while pending) is counted as abandoned.
+    fn resolve(&self, pending: Pending, result: Result<TicketReply>) {
+        self.metrics.record_latency(pending.enqueued_at.elapsed());
         pending.ticket.resolve(result);
         if pending.ticket.is_abandoned() {
             self.metrics.abandoned.inc();
@@ -289,7 +240,7 @@ impl ServiceInner {
             }
             _ => {}
         }
-        self.resolve(pending, Err(err), None);
+        self.resolve(pending, Err(err));
     }
 
     /// Group one drained queue by [`BatchKey`] (stable order) and run
@@ -304,7 +255,7 @@ impl ServiceInner {
         // resolves these tickets via the in-flight registry.
         if let Err(e) = faultpoint::maybe_fail(faultpoint::points::SERVICE_DRAIN) {
             for m in taken {
-                self.resolve(m, Err(e.clone()), None);
+                self.resolve(m, Err(e.clone()));
             }
             self.wake.wake_all();
             return;
@@ -344,21 +295,18 @@ impl ServiceInner {
             Ok(p) => p,
             Err(e) => {
                 for m in members {
-                    self.resolve(m, Err(e.clone()), None);
+                    self.resolve(m, Err(e.clone()));
                 }
                 return;
             }
         };
         let mut req = QueryRequest::knn(&points, key.k)
-            .with_order(self.cfg.order)
-            .with_bound_mode(key.bound_mode);
+            .with_order(QueryOrder::Morton)
+            .with_bound_mode(key.bound_mode)
+            .with_trace(batch_trace);
         if let Some(bits) = key.radius_bits {
             req = req.with_radius(f32::from_bits(bits));
         }
-        if let Some(parallel) = self.cfg.parallel {
-            req = req.with_parallel(parallel);
-        }
-        req = req.with_trace(batch_trace);
         self.metrics.record_batch(total);
         // Flush span: coords assembly + request construction.
         trace::record(batch_trace, Stage::Flush, flush_start);
@@ -371,40 +319,24 @@ impl ServiceInner {
                 let shared = Arc::new(response);
                 let resolve_start = Instant::now();
                 let mut row = 0u32;
-                let mut memos: Vec<(Arc<CacheKey>, TicketReply, u64)> = Vec::new();
-                for mut m in members {
+                for m in members {
                     let n = m.n_queries as u32;
                     let reply = TicketReply::new(Arc::clone(&shared), row, n);
                     row += n;
-                    if let Some((ck, epoch)) = m.cache_key.take() {
-                        memos.push((ck, reply.clone(), epoch));
-                    }
                     let member_trace = m.trace;
-                    self.resolve(m, Ok(reply), Some(total));
+                    self.resolve(m, Ok(reply));
                     trace::record(member_trace, Stage::Resolve, resolve_start);
-                }
-                if !memos.is_empty() {
-                    if let Some(cache) = &self.cache {
-                        let mut c = cache.lock().unwrap_or_else(PoisonError::into_inner);
-                        for (ck, reply, epoch) in memos {
-                            c.insert(ck, reply, epoch);
-                        }
-                    }
                 }
             }
             Ok(Err(e)) => {
                 for m in members {
-                    self.resolve(m, Err(e.clone()), Some(total));
+                    self.resolve(m, Err(e.clone()));
                 }
             }
             Err(panic) => {
-                let msg = panic_message(panic);
+                let msg = panic_message(&*panic);
                 for m in members {
-                    self.resolve(
-                        m,
-                        Err(PandaError::BackendPanicked(msg.clone())),
-                        Some(total),
-                    );
+                    self.resolve(m, Err(PandaError::BackendPanicked(msg.clone())));
                 }
             }
         }
@@ -461,15 +393,6 @@ impl ServiceInner {
         }
         snap
     }
-}
-
-/// Best-effort human-readable payload of a caught panic.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 fn scheduler_loop(inner: &ServiceInner) {
@@ -596,15 +519,13 @@ fn supervisor_loop(inner: &ServiceInner) {
         match std::panic::catch_unwind(AssertUnwindSafe(|| scheduler_loop(inner))) {
             Ok(()) => return,
             Err(panic) => {
-                let msg = panic_message(panic);
+                let msg = panic_message(&*panic);
                 inner.metrics.scheduler_restarts.inc();
                 inner.repair_after_panic(&msg);
                 if started.elapsed() >= RESTART_HEALTHY_RESET {
                     consecutive = 0;
                 }
-                let backoff = RESTART_BACKOFF_BASE
-                    .saturating_mul(1u32 << consecutive.min(16))
-                    .min(RESTART_BACKOFF_MAX);
+                let backoff = restart_backoff(consecutive);
                 consecutive = consecutive.saturating_add(1);
                 // Restart even when stopped: a shutdown-concurrent panic
                 // still leaves queued submissions to flush, and the loop
@@ -633,7 +554,8 @@ impl ServiceHandle {
     /// with a [`Ticket`] unless the bounded queue is full (then the
     /// configured [`OverflowPolicy`] applies). The request's `k`,
     /// radius, and bound mode are honored; its order/parallel knobs are
-    /// service-level configuration and are ignored here.
+    /// ignored here: every coalesced batch runs in Morton order with the
+    /// backend's own parallelism.
     pub fn submit(&self, req: &QueryRequest<'_>) -> Result<Ticket> {
         self.inner.submit(req)
     }
@@ -679,11 +601,6 @@ impl QueryService {
     pub fn new(backend: Arc<dyn NnBackend + Send + Sync>, cfg: ServiceConfig) -> Result<Self> {
         cfg.validate()?;
         let dims = backend.dims();
-        // Per-shard capacity knob → effective capacity: a sharded
-        // backend fields proportionally more distinct hot keys.
-        let cache_slots = cfg
-            .cache_capacity
-            .saturating_mul(backend.shard_count().max(1));
         let inner = Arc::new(ServiceInner {
             backend,
             cfg,
@@ -701,8 +618,6 @@ impl QueryService {
             idle: Condvar::new(),
             wake: WakeHub::new(),
             metrics: Metrics::default(),
-            cache: (cache_slots > 0)
-                .then(|| Mutex::new(ResultCache::new(cache_slots, cfg.cache_ttl))),
         });
         let scheduler = {
             let inner = Arc::clone(&inner);

@@ -8,9 +8,9 @@
 //! its own worker thread behind plain channels, so the front handle is
 //! `Send + Sync` and drops straight into `QueryService` — the same
 //! traffic layer that serves the single-node engines. This example
-//! builds a 4-shard index, fronts it with the service (hot-query cache
-//! enabled), drives closed-loop clients with a skewed key set so some
-//! queries repeat, and prints the shard + cache telemetry.
+//! builds a 4-shard index, fronts it with the service, drives
+//! closed-loop clients that each ask a fresh random query per request,
+//! and prints the batching and shard telemetry.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +21,6 @@ use panda::prelude::*;
 const SHARDS: usize = 4;
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 200;
-const HOT_KEYS: u64 = 32; // clients re-ask these — the cache's diet
 const K: usize = 8;
 
 fn main() -> Result<()> {
@@ -43,8 +42,7 @@ fn main() -> Result<()> {
             .with_max_batch(128)
             .with_max_delay(Duration::from_micros(300))
             .with_queue_capacity(4096)
-            .with_overflow(OverflowPolicy::Block)
-            .with_cache_capacity(256), // LRU over resolved batches
+            .with_overflow(OverflowPolicy::Block),
     )?;
 
     let t0 = std::time::Instant::now();
@@ -54,12 +52,7 @@ fn main() -> Result<()> {
             std::thread::spawn(move || -> Result<f64> {
                 let mut checksum = 0.0f64;
                 for r in 0..REQUESTS_PER_CLIENT {
-                    // skewed traffic: most requests hit a small hot set
-                    let seed = if r % 4 != 0 {
-                        (c as u64 * 31 + r as u64) % HOT_KEYS
-                    } else {
-                        10_000 + (c * REQUESTS_PER_CLIENT + r) as u64
-                    };
+                    let seed = (c * REQUESTS_PER_CLIENT + r) as u64;
                     let query = uniform::generate(1, 3, 1.0, 1000 + seed);
                     let reply = handle.submit(&QueryRequest::knn(&query, K))?.wait()?;
                     checksum += f64::from(reply.row(0)[0].dist_sq);
@@ -86,10 +79,6 @@ fn main() -> Result<()> {
     println!(
         "  mean batch size      {:.1} queries",
         stats.mean_batch_size()
-    );
-    println!(
-        "  cache hits / misses  {} / {}",
-        stats.cache_hits, stats.cache_misses
     );
     println!(
         "  latency p50 / p99    {:.0}µs / {:.0}µs",

@@ -40,8 +40,7 @@ fn main() -> Result<()> {
         index,
         ServiceConfig::default()
             .with_max_batch(64)
-            .with_max_delay(Duration::from_micros(300))
-            .with_cache_capacity(64),
+            .with_max_delay(Duration::from_micros(300)),
     )?;
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {

@@ -140,14 +140,12 @@
 //! `submit` either blocks or fails fast with `PandaError::Overloaded`
 //! ([`OverflowPolicy`](prelude::OverflowPolicy)). `drain` flushes all
 //! outstanding tickets; `stats` exposes queue depth, the batch-size
-//! histogram, and p50/p99/p999 submit→resolve latency (overall and per
-//! batch-size bucket). The service requires `Send + Sync` backends
-//! (pinned by `tests/thread_safety.rs`); `KnnIndex`, `MutableIndex`,
-//! the in-process baselines, **and** the sharded distributed engine all
-//! qualify. An optional hot-query result cache
-//! (`ServiceConfig::with_cache_capacity`) memoizes repeated
-//! submissions, invalidated automatically when a mutable backend's
-//! `data_epoch` moves.
+//! histogram, and p50/p99/p999 submit→resolve latency. The service
+//! requires `Send + Sync` backends (pinned by `tests/thread_safety.rs`);
+//! `KnnIndex`, `MutableIndex`, the in-process baselines, **and** the
+//! sharded distributed engine all qualify. Every submission reaches the
+//! backend: science query streams carry no exact repeats, so the
+//! service keeps no result cache.
 //!
 //! ## Quickstart: streaming updates
 //!

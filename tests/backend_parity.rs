@@ -54,13 +54,10 @@ fn assert_ids_honest(res: &QueryResponse, points: &PointSet, queries: &PointSet,
 /// through the trait's associated `build`.
 fn single_node_backends(points: &PointSet) -> Vec<Box<dyn NnBackend>> {
     let cfg = TreeConfig::default();
-    let parallel_morton = TreeConfig::default()
-        .with_parallel(true)
-        .with_threads(2)
-        .with_query_order(QueryOrder::Morton);
+    let parallel = TreeConfig::default().with_parallel(true).with_threads(2);
     vec![
         Box::new(KnnIndex::build(points, &cfg).unwrap()),
-        Box::new(KnnIndex::build(points, &parallel_morton).unwrap()),
+        Box::new(KnnIndex::build(points, &parallel).unwrap()),
         Box::new(BruteForce::build(points, &cfg).unwrap()),
         Box::new(FlannLikeTree::build(points).unwrap()),
         Box::new(AnnLikeTree::build(points).unwrap()),
@@ -77,19 +74,24 @@ fn assert_all_match(points: &PointSet, queries: &PointSet, k: usize, radius: Opt
         fingerprint(&NnBackend::query(&bf, &req).unwrap())
     };
     for backend in single_node_backends(points) {
-        let mut req = QueryRequest::knn(queries, k);
-        if let Some(r) = radius {
-            req = req.with_radius(r);
+        for order in [None, Some(QueryOrder::Morton)] {
+            let mut req = QueryRequest::knn(queries, k);
+            if let Some(r) = radius {
+                req = req.with_radius(r);
+            }
+            if let Some(o) = order {
+                req = req.with_order(o);
+            }
+            let res = backend.query(&req).unwrap();
+            assert_eq!(res.len(), queries.len(), "{}", backend.name());
+            assert_eq!(
+                fingerprint(&res),
+                truth,
+                "backend {} diverged (k={k}, radius={radius:?}, order={order:?})",
+                backend.name()
+            );
+            assert_ids_honest(&res, points, queries, backend.name());
         }
-        let res = backend.query(&req).unwrap();
-        assert_eq!(res.len(), queries.len(), "{}", backend.name());
-        assert_eq!(
-            fingerprint(&res),
-            truth,
-            "backend {} diverged (k={k}, radius={radius:?})",
-            backend.name()
-        );
-        assert_ids_honest(&res, points, queries, backend.name());
         assert_eq!(backend.len(), points.len(), "{}", backend.name());
         assert_eq!(backend.dims(), points.dims(), "{}", backend.name());
     }
