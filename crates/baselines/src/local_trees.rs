@@ -107,7 +107,7 @@ impl LocalTreesKnn {
         let dist_in = comm.world().alltoallv(dist_sends);
 
         // Merge the P·k candidate streams per own query.
-        let mut heaps: Vec<KnnHeap> = (0..queries.len()).map(|_| KnnHeap::new(k)).collect();
+        let mut heaps: Vec<KnnHeap<'_>> = (0..queries.len()).map(|_| KnnHeap::new(k)).collect();
         for (meta, dists) in meta_in.iter().zip(&dist_in) {
             for (pair, &d) in meta.chunks_exact(2).zip(dists) {
                 let (qi, id) = (pair[0] as usize, pair[1]);

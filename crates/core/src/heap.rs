@@ -8,6 +8,14 @@
 //! full it is the largest distance held. Offers use strict `<`, so an
 //! equal-distance candidate never displaces an earlier one — this keeps
 //! tie handling deterministic and identical to the brute-force reference.
+//!
+//! A heap may carry an **exclusion set** of ids (the mutable store's
+//! tombstones). An excluded id is rejected at admission, after the bound
+//! test: it never takes a slot and never tightens `r'`, so a traversal
+//! feeding the heap returns the k nearest *non-excluded* points and
+//! prunes exactly as it would over a tree without them.
+
+use std::collections::HashSet;
 
 /// One nearest-neighbor candidate.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -26,15 +34,17 @@ impl Neighbor {
     }
 }
 
-/// Array-backed bounded max-heap over [`Neighbor`]s ordered by `dist_sq`.
+/// Array-backed bounded max-heap over [`Neighbor`]s ordered by `dist_sq`,
+/// optionally rejecting the ids of a borrowed exclusion set.
 #[derive(Clone, Debug)]
-pub struct KnnHeap {
+pub struct KnnHeap<'x> {
     k: usize,
     bound_sq: f32,
     items: Vec<Neighbor>,
+    excluded: Option<&'x HashSet<u64>>,
 }
 
-impl KnnHeap {
+impl<'x> KnnHeap<'x> {
     /// Heap for the `k` nearest neighbors with an unbounded initial radius.
     pub fn new(k: usize) -> Self {
         Self::with_radius_sq(k, f32::INFINITY)
@@ -48,7 +58,18 @@ impl KnnHeap {
             k,
             bound_sq: radius_sq,
             items: Vec::with_capacity(k),
+            excluded: None,
         }
+    }
+
+    /// Reject every id in `excluded` at admission (`None` admits every
+    /// id). An empty set is dropped so unfiltered heaps pay no lookup.
+    /// The set survives [`Self::reset`]: it belongs to the data source
+    /// the heap scans, not to one query.
+    #[must_use]
+    pub fn with_excluded(mut self, excluded: Option<&'x HashSet<u64>>) -> Self {
+        self.excluded = excluded.filter(|ids| !ids.is_empty());
+        self
     }
 
     /// Capacity `k`.
@@ -83,7 +104,8 @@ impl KnnHeap {
     }
 
     /// Offer a candidate; returns true if it was kept. Strict `<` against
-    /// the current bound.
+    /// the current bound; a candidate that beats it is then rejected if
+    /// its id is excluded (one set lookup per bound-beating offer).
     ///
     /// A NaN distance is rejected (debug builds assert): were it admitted,
     /// it would poison `bound_sq` — every later comparison against a NaN
@@ -103,6 +125,9 @@ impl KnnHeap {
         // builds where the assert above compiles out.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(dist_sq < self.bound_sq) {
+            return false;
+        }
+        if self.excluded.is_some_and(|ids| ids.contains(&id)) {
             return false;
         }
         if self.items.len() < self.k {
@@ -125,9 +150,9 @@ impl KnnHeap {
     }
 
     /// Reset in place for a new query with capacity `k` and initial bound
-    /// `radius_sq`, keeping the item buffer's allocation. This is what
-    /// lets the batch engine reuse **one** heap per worker chunk instead
-    /// of allocating one per query.
+    /// `radius_sq`, keeping the item buffer's allocation and the
+    /// exclusion set. This is what lets the batch engine reuse **one**
+    /// heap per worker chunk instead of allocating one per query.
     #[inline]
     pub fn reset(&mut self, k: usize, radius_sq: f32) {
         assert!(k >= 1, "k must be at least 1");
@@ -364,6 +389,28 @@ mod tests {
     fn nan_distance_asserts_in_debug() {
         let mut h = KnnHeap::new(2);
         h.offer(f32::NAN, 0);
+    }
+
+    /// An excluded id is rejected after the bound test: it takes no slot,
+    /// leaves the bound alone, and the result equals filtering the
+    /// stream first. The set survives `reset`.
+    #[test]
+    fn excluded_ids_never_take_a_slot_or_tighten_the_bound() {
+        let excluded: HashSet<u64> = [1, 3].into_iter().collect();
+        let mut h = KnnHeap::new(2).with_excluded(Some(&excluded));
+        assert!(h.offer(4.0, 0));
+        assert!(!h.offer(1.0, 1)); // beats the bound but excluded
+        assert_eq!(h.len(), 1);
+        assert_eq!(h.bound_sq(), f32::INFINITY); // still not full
+        assert!(h.offer(6.0, 2));
+        assert_eq!(h.bound_sq(), 6.0);
+        assert!(!h.offer(0.5, 3));
+        assert_eq!(h.bound_sq(), 6.0);
+        assert!(h.offer(5.0, 4));
+        let ids: Vec<u64> = h.clone().into_sorted().iter().map(|n| n.id).collect();
+        assert_eq!(ids, vec![0, 4]);
+        h.reset(2, f32::INFINITY);
+        assert!(!h.offer(1.0, 1), "exclusions outlive reset");
     }
 
     #[test]

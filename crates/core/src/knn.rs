@@ -10,11 +10,13 @@
 //! order. Every query runs through the fused SIMD leaf kernel inherited
 //! from the traversal layer.
 
+use std::collections::HashSet;
+
 use rayon::prelude::*;
 
 use panda_comm::CostModel;
 
-use crate::config::{BoundMode, QueryOrder, TreeConfig};
+use crate::config::{QueryOrder, TreeConfig};
 use crate::counters::QueryCounters;
 use crate::engine::{NeighborTable, QueryRequest, QueryResponse};
 use crate::error::{PandaError, Result};
@@ -89,16 +91,32 @@ impl KnnIndex {
     /// spliced into the table, so the batch hot path performs no
     /// per-query heap allocation.
     pub fn query_session(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
+        self.session(req, None)
+    }
+
+    /// [`Self::query_session`] over the indexed points minus the ids in
+    /// `excluded` (the mutable store's tombstones): every row holds the
+    /// `k` nearest points whose ids are not in the set. Excluded ids are
+    /// rejected as the heap admits them, so `k` is the caller's `k` and
+    /// the search bound shrinks exactly as over a tree without them —
+    /// the same traversal as the unfiltered path, plus one set lookup
+    /// per candidate that beats the bound.
+    pub fn query_session_excluding(
+        &self,
+        req: &QueryRequest<'_>,
+        excluded: &HashSet<u64>,
+    ) -> Result<QueryResponse> {
+        self.session(req, Some(excluded))
+    }
+
+    fn session(
+        &self,
+        req: &QueryRequest<'_>,
+        excluded: Option<&HashSet<u64>>,
+    ) -> Result<QueryResponse> {
         let t0 = std::time::Instant::now();
         req.validate()?;
-        let (neighbors, counters) = self.batch_csr(
-            req.queries(),
-            req.k(),
-            req.radius_sq(),
-            req.order().unwrap_or(QueryOrder::Input),
-            req.bound_mode(),
-            req.parallel().unwrap_or(self.parallel),
-        )?;
+        let (neighbors, counters) = self.batch_csr(req, excluded)?;
         panda_obs::trace::record(req.trace(), panda_obs::Stage::LeafKernel, t0);
         Ok(QueryResponse::local(
             neighbors,
@@ -107,31 +125,28 @@ impl KnnIndex {
         ))
     }
 
-    /// The CSR batch engine behind [`Self::query_session`]. The
-    /// execution order affects locality only: results and aggregate
-    /// counters are identical for any order (each query's traversal is
-    /// independent).
-    pub(crate) fn batch_csr(
+    /// The CSR batch engine behind [`Self::query_session`] and
+    /// [`Self::query_session_excluding`]. The execution order affects
+    /// locality only: results and aggregate counters are identical for
+    /// any order (each query's traversal is independent). Every chunk's
+    /// heap rejects the ids in `excluded`.
+    fn batch_csr(
         &self,
-        queries: &PointSet,
-        k: usize,
-        radius_sq: f32,
-        order: QueryOrder,
-        bound_mode: BoundMode,
-        parallel: bool,
+        req: &QueryRequest<'_>,
+        excluded: Option<&HashSet<u64>>,
     ) -> Result<(NeighborTable, QueryCounters)> {
-        if k == 0 {
-            return Err(PandaError::ZeroK);
-        }
+        let queries = req.queries();
         if queries.dims() != self.dims() {
             return Err(PandaError::DimsMismatch {
                 expected: self.dims(),
                 got: queries.dims(),
             });
         }
+        let (k, radius_sq, bound_mode) = (req.k(), req.radius_sq(), req.bound_mode());
+        let parallel = req.parallel().unwrap_or(self.parallel);
         crate::faultpoint::maybe_fail(crate::faultpoint::points::ENGINE_LEAF_DISPATCH)?;
         let n = queries.len();
-        let schedule: Vec<u32> = match order {
+        let schedule: Vec<u32> = match req.order().unwrap_or(QueryOrder::Input) {
             QueryOrder::Input => (0..n as u32).collect(),
             QueryOrder::Morton => morton_schedule(queries),
         };
@@ -139,7 +154,7 @@ impl KnnIndex {
         // whole chunk: a query appends its sorted neighbors to the arena
         // and records `(input slot, count)`.
         let run_one = |qi: u32,
-                       heap: &mut KnnHeap,
+                       heap: &mut KnnHeap<'_>,
                        ws: &mut QueryWorkspace,
                        arena: &mut Vec<Neighbor>,
                        runs: &mut Vec<(u32, u32)>,
@@ -161,7 +176,7 @@ impl KnnIndex {
                         (
                             Vec::new(),
                             Vec::new(),
-                            KnnHeap::new(k),
+                            KnnHeap::new(k).with_excluded(excluded),
                             QueryWorkspace::new(),
                             QueryCounters::default(),
                         )
@@ -176,7 +191,7 @@ impl KnnIndex {
         } else {
             let mut runs = Vec::with_capacity(n);
             let mut arena = Vec::new();
-            let mut heap = KnnHeap::new(k);
+            let mut heap = KnnHeap::new(k).with_excluded(excluded);
             let mut ws = QueryWorkspace::new();
             let mut c = QueryCounters::default();
             for &qi in &schedule {
@@ -233,14 +248,7 @@ impl KnnIndex {
             });
         }
         // query k+1 and drop the self-match (distance 0 with own id)
-        let (table, _counters) = self.batch_csr(
-            points,
-            k + 1,
-            f32::INFINITY,
-            QueryOrder::Input,
-            BoundMode::Exact,
-            self.parallel,
-        )?;
+        let (table, _counters) = self.batch_csr(&QueryRequest::knn(points, k + 1), None)?;
         Ok(table
             .iter()
             .enumerate()
@@ -394,6 +402,46 @@ mod tests {
             "modeled 24T query speedup {speedup}"
         );
         assert!(t24smt <= t24, "SMT should not hurt");
+    }
+
+    /// Excluding ids equals querying a tree without them (row for row,
+    /// in every chunk of a parallel batch), and an empty set changes no
+    /// result or counter of the unfiltered path.
+    #[test]
+    fn excluding_session_matches_tree_without_the_excluded_points() {
+        let ps = random_ps(4000, 3, 61);
+        let queries = random_ps(100, 3, 62);
+        let excluded: HashSet<u64> = (0..4000).step_by(3).collect();
+        let mut kept = PointSet::new(3).unwrap();
+        for i in 0..ps.len() {
+            if !excluded.contains(&ps.id(i)) {
+                kept.push(ps.point(i), ps.id(i));
+            }
+        }
+        let without = KnnIndex::build(&kept, &TreeConfig::default()).unwrap();
+        for parallel in [false, true] {
+            let cfg = TreeConfig::default()
+                .with_parallel(parallel)
+                .with_threads(2);
+            let idx = KnnIndex::build(&ps, &cfg).unwrap();
+            for req in [
+                QueryRequest::knn(&queries, 8),
+                QueryRequest::knn(&queries, 8).with_radius(6.0),
+            ] {
+                let got = idx.query_session_excluding(&req, &excluded).unwrap();
+                let want = without.query_session(&req).unwrap();
+                for (a, b) in got.neighbors.iter().zip(want.neighbors.iter()) {
+                    let da: Vec<f32> = a.iter().map(|n| n.dist_sq).collect();
+                    let db: Vec<f32> = b.iter().map(|n| n.dist_sq).collect();
+                    assert_eq!(da, db, "parallel={parallel}");
+                    assert!(a.iter().all(|n| !excluded.contains(&n.id)));
+                }
+                let plain = idx.query_session(&req).unwrap();
+                let empty = idx.query_session_excluding(&req, &HashSet::new()).unwrap();
+                assert_eq!(empty.neighbors, plain.neighbors);
+                assert_eq!(empty.counters, plain.counters);
+            }
+        }
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl PackedLeaves {
         base: usize,
         cap: usize,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
     ) -> ScanStats {
         debug_assert_eq!(cap % LANE, 0);
         debug_assert!(q.len() >= self.dims);
@@ -213,7 +213,7 @@ impl PackedLeaves {
         base: usize,
         cap: usize,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
     ) -> ScanStats {
         let dims = self.dims;
         let block = &self.coords[base * dims..base * dims + cap * dims];
@@ -276,7 +276,7 @@ mod portable {
         acc: &[f32; LANE],
         ids: &[u64],
         j: usize,
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
         stats: &mut ScanStats,
     ) {
         let bound = heap.bound_sq();
@@ -328,7 +328,7 @@ mod portable {
         cap: usize,
         dims: usize,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
         let mut j = 0;
@@ -398,7 +398,7 @@ mod avx2 {
         cap: usize,
         dims: usize,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
     ) -> ScanStats {
         match dims {
             2 => scan_impl::<2>(block, ids, cap, 2, q, heap),
@@ -419,7 +419,7 @@ mod avx2 {
         cap: usize,
         dims: usize,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
     ) -> ScanStats {
         let dims = if D > 0 { D } else { dims };
         debug_assert!(dims <= MAX_DIMS);
@@ -555,7 +555,7 @@ mod tests {
         base: usize,
         cap: usize,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
     ) -> u32 {
         let mut out = Vec::new();
         pl.distances(base, cap, q, &mut out);

@@ -138,7 +138,7 @@ impl LocalKdTree {
     pub fn query_into(
         &self,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
         mode: BoundMode,
         ws: &mut QueryWorkspace,
         counters: &mut QueryCounters,
@@ -228,7 +228,7 @@ impl LocalKdTree {
     pub fn query_into_reference(
         &self,
         q: &[f32],
-        heap: &mut KnnHeap,
+        heap: &mut KnnHeap<'_>,
         mode: BoundMode,
         counters: &mut QueryCounters,
     ) {

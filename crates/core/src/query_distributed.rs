@@ -302,7 +302,7 @@ pub(crate) fn owned_pipeline(
     // the exchange: `alltoallv` consumes the send vectors and returns the
     // received ones, which become the next step's (cleared) send buffers,
     // so lane capacity is allocated once and reused for the whole call.
-    let mut heaps: Vec<KnnHeap> = Vec::new();
+    let mut heaps: Vec<KnnHeap<'_>> = Vec::new();
     let mut req_coord_ws: Vec<Vec<f32>> = vec![Vec::new(); p];
     let mut sent_bi: Vec<Vec<u32>> = vec![Vec::new(); p];
     let mut resp_cnt_ws: Vec<Vec<u32>> = vec![Vec::new(); p];

@@ -32,11 +32,13 @@ pub enum FsyncPolicy {
 /// holds at least [`compact_points`](Self::compact_points) points, the
 /// log's resident size reaches [`compact_bytes`](Self::compact_bytes),
 /// or the total tombstone count reaches
-/// [`max_deleted`](Self::max_deleted). The tombstone threshold matters
-/// for query cost, not memory: every query inflates its candidate heaps
-/// by the tombstone count to stay exact under deletions, so unbounded
-/// tombstone growth would slow reads — compaction physically drops the
-/// deleted points and resets the inflation to zero.
+/// [`max_deleted`](Self::max_deleted). A tombstone costs a query one
+/// hash lookup per candidate it admits, not a heap slot: deleted points
+/// are rejected as they beat the search bound, so reads keep the
+/// caller's `k` and prune as if the points were gone. The tombstone
+/// threshold bounds memory — the tombstone sets and the deleted points
+/// still resident in the tree — which compaction reclaims by dropping
+/// the deleted points physically.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Fresh-log point count that triggers a compaction (default 4096).
@@ -47,7 +49,9 @@ pub struct StoreConfig {
     /// compaction (default 1 MiB).
     pub compact_bytes: usize,
     /// Total tombstones (tree + frozen segment) that trigger a
-    /// compaction (default 1024). Bounds the query-side heap inflation.
+    /// compaction (default 1024). Bounds the memory held by deleted
+    /// points until compaction drops them; query cost does not grow
+    /// with it.
     pub max_deleted: usize,
     /// Tree construction parameters for each rebuilt generation.
     pub tree: TreeConfig,

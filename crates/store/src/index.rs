@@ -728,12 +728,15 @@ impl StoreInner {
         outcome
     }
 
-    /// The merged query path. Exactness: the tree answers with heaps
-    /// inflated by the tree tombstone count, the frozen segment with
-    /// heaps inflated by its tombstone count, the fresh log exactly;
-    /// after filtering tombstones each source still contributes its k
-    /// nearest *live* points, so the (distance, id)-sorted merge
-    /// truncated to k equals a brute-force scan of the live set.
+    /// The merged query path. Exactness: each source's heaps hold the
+    /// caller's `k` and reject that source's tombstones as they admit
+    /// candidates — the tree through
+    /// [`KnnIndex::query_session_excluding`], the frozen segment through
+    /// an excluding [`KnnHeap`]; the fresh log holds no tombstones. A
+    /// tombstoned point never takes a slot or tightens the bound, so
+    /// each source contributes its k nearest *live* points and prunes as
+    /// if the tombstoned points were gone, and the (distance, id)-sorted
+    /// merge truncated to k equals a brute-force scan of the live set.
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         let t0 = Instant::now();
         req.validate()?;
@@ -768,58 +771,37 @@ impl StoreInner {
         let radius_sq = req.radius_sq();
         let n_queries = req.queries().len();
 
-        // Fast path: no log, no tombstones — the tree alone is exact.
-        let log_empty = frozen.as_ref().is_none_or(|f| f.points.is_empty()) && fresh_len == 0;
-        if log_empty && deleted_tree.is_empty() {
-            return match &gen.index {
-                Some(index) => index.query_session(req),
-                None => {
-                    // Empty store: all-empty rows.
-                    let mut table = NeighborTable::new();
-                    for _ in 0..n_queries {
-                        table.push_row(&[]);
-                    }
-                    let counters = QueryCounters {
-                        queries: n_queries as u64,
-                        ..QueryCounters::default()
-                    };
-                    Ok(QueryResponse::local(
-                        table,
-                        counters,
-                        t0.elapsed().as_secs_f64(),
-                    ))
-                }
-            };
-        }
-
-        // Tree side, with heaps inflated by the tree tombstone count.
-        let k_tree = k + deleted_tree.len();
+        // Tree side: the caller's request, whole (trace included), with
+        // the tree tombstones excluded at heap admission.
         let tree_res = match &gen.index {
-            Some(index) => {
-                let mut treq = QueryRequest::knn(req.queries(), k_tree);
-                if let Some(r) = req.radius() {
-                    treq = treq.with_radius(r);
-                }
-                if let Some(o) = req.order() {
-                    treq = treq.with_order(o);
-                }
-                treq = treq.with_bound_mode(req.bound_mode());
-                if let Some(p) = req.parallel() {
-                    treq = treq.with_parallel(p);
-                }
-                Some(index.query_session(&treq)?)
-            }
+            Some(index) => Some(index.query_session_excluding(req, &deleted_tree)?),
             None => None,
         };
+        // Fast path: no log — the tree alone is exact.
+        let log_empty = frozen.as_ref().is_none_or(|f| f.points.is_empty()) && fresh_len == 0;
+        if log_empty {
+            return Ok(tree_res.unwrap_or_else(|| {
+                // Empty store: all-empty rows.
+                let mut table = NeighborTable::new();
+                for _ in 0..n_queries {
+                    table.push_row(&[]);
+                }
+                let counters = QueryCounters {
+                    queries: n_queries as u64,
+                    ..QueryCounters::default()
+                };
+                QueryResponse::local(table, counters, t0.elapsed().as_secs_f64())
+            }));
+        }
+
         let mut counters = tree_res.as_ref().map(|r| r.counters).unwrap_or_default();
         counters.queries = n_queries as u64;
 
-        // Log side: one fused-kernel scan of the frozen segment (heap
-        // inflated by its tombstone count) and one of the fresh log
-        // (exact), per query; then a three-way sorted merge.
-        let k_frozen = k + deleted_frozen.len();
-        let mut frozen_heap = KnnHeap::new(k_frozen.max(1));
-        let mut fresh_heap = KnnHeap::new(k.max(1));
+        // Log side: one fused-kernel scan of the frozen segment (its
+        // tombstones excluded at heap admission) and one of the fresh
+        // log, per query; then a three-way sorted merge.
+        let mut frozen_heap = KnnHeap::new(k).with_excluded(Some(&deleted_frozen));
+        let mut fresh_heap = KnnHeap::new(k);
         let mut frozen_buf: Vec<Neighbor> = Vec::new();
         let mut fresh_buf: Vec<Neighbor> = Vec::new();
         let mut merged: Vec<Neighbor> = Vec::new();
@@ -828,16 +810,11 @@ impl StoreInner {
             let q = req.queries().point(qi);
             merged.clear();
             if let Some(r) = &tree_res {
-                merged.extend(
-                    r.neighbors
-                        .row(qi)
-                        .iter()
-                        .filter(|n| !deleted_tree.contains(&n.id)),
-                );
+                merged.extend_from_slice(r.neighbors.row(qi));
             }
             if let Some(f) = &frozen {
                 if !f.points.is_empty() {
-                    frozen_heap.reset(k_frozen, radius_sq);
+                    frozen_heap.reset(k, radius_sq);
                     let stats = f.packed.scan_and_offer(0, f.cap, q, &mut frozen_heap);
                     counters.points_scanned += f.cap as u64;
                     counters.leaf_kernel_calls += 1;
@@ -845,11 +822,7 @@ impl StoreInner {
                     counters.heap_ops += stats.accepted as u64;
                     frozen_buf.clear();
                     frozen_heap.append_sorted_into(&mut frozen_buf);
-                    merged.extend(
-                        frozen_buf
-                            .iter()
-                            .filter(|n| !deleted_frozen.contains(&n.id)),
-                    );
+                    merged.extend_from_slice(&frozen_buf);
                 }
             }
             if fresh_len > 0 {
@@ -1059,6 +1032,37 @@ mod tests {
         assert!(store.epoch() > e0);
         assert_eq!(store.stats().deleted, 0);
         assert_eq!(store.stats().tree_points, 7);
+    }
+
+    /// Tombstones cost no traversal work: they are rejected at heap
+    /// admission, so a query whose search never reaches them visits the
+    /// same nodes and scans the same points as with no tombstones at
+    /// all.
+    #[test]
+    fn far_tombstones_leave_traversal_cost_unchanged() {
+        let near = panda_data::uniform::generate(20_000, 3, 1.0, 11);
+        let mut points = near.clone();
+        for i in 0..1000 {
+            let p = near.point(i);
+            points.push(&[p[0] + 10.0, p[1], p[2]], 20_000 + i as u64);
+        }
+        let store = MutableIndex::from_points(&points, StoreConfig::default()).unwrap();
+        let queries = panda_data::uniform::generate(8, 3, 1.0, 12);
+        let req = QueryRequest::knn(&queries, 16);
+        let before = store.query(&req).unwrap();
+        for id in 20_000..21_000 {
+            assert!(store.remove(id).unwrap());
+        }
+        let stats = store.stats();
+        assert_eq!((stats.deleted, stats.log_points), (1000, 0));
+        assert!(!stats.compacting, "1,000 stays below max_deleted");
+        let after = store.query(&req).unwrap();
+        assert_eq!(after.counters.nodes_visited, before.counters.nodes_visited);
+        assert_eq!(
+            after.counters.points_scanned,
+            before.counters.points_scanned
+        );
+        assert_eq!(after.neighbors, before.neighbors);
     }
 
     struct TmpDir(std::path::PathBuf);

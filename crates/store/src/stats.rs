@@ -66,8 +66,9 @@ pub struct StoreStats {
     /// Points in the frozen segment currently being compacted
     /// (0 when no compaction is in flight).
     pub frozen_points: usize,
-    /// Outstanding tombstones (tree + frozen targets). Each one inflates
-    /// query heaps by one slot until the next compaction clears it.
+    /// Outstanding tombstones (tree + frozen targets). Each one costs a
+    /// query one hash lookup per admitted candidate, not a heap slot,
+    /// and holds its point's memory until the next compaction.
     pub deleted: usize,
     /// Total `insert` calls accepted.
     pub inserted: u64,

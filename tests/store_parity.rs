@@ -378,3 +378,142 @@ fn store_serves_behind_query_service_under_concurrent_writes() {
     assert!(stats.compactions >= 1, "writer churn must have compacted");
     service.shutdown();
 }
+
+/// Tombstones clustered around the queries: around each query centre
+/// far more than `k` of the nearest live points — several leaf buckets'
+/// worth — are removed, some from the tree and some from the frozen
+/// segment of an in-flight compaction, next to live fresh-log points.
+/// kNN, radius-limited kNN, and a `k` larger than the live count inside
+/// the radius all match brute force over the live set, during the
+/// compaction and after its swap.
+#[test]
+fn clustered_tombstones_around_queries_stay_exact() {
+    let _guard = faultpoint::arm(
+        FaultPlan::new().with(
+            FaultSpec::new(
+                points::STORE_COMPACT_BUILD,
+                FaultAction::Delay(Duration::from_millis(1500)),
+            )
+            .times(1),
+        ),
+    );
+    let dims = 3;
+    let bucket = 8;
+    let (tree_removed, frozen_removed) = (6 * bucket, 12); // per centre
+    let centres = [[0.25f32, 0.25, 0.25], [0.5, 0.7, 0.4], [0.8, 0.3, 0.75]];
+    let mut rng = Rng(0x5eed_0014);
+    let near = |c: &[f32; 3], rng: &mut Rng| -> Vec<f32> {
+        c.iter().map(|&x| x + (rng.f32() - 0.5) * 0.08).collect()
+    };
+
+    // Tree: a uniform background plus a dense clump around each centre.
+    let mut tree_pts = uniform::generate(3000, dims, 1.0, 14);
+    let mut next_id = tree_pts.len() as u64;
+    for c in &centres {
+        for _ in 0..80 {
+            tree_pts.push(&near(c, &mut rng), next_id);
+            next_id += 1;
+        }
+    }
+    let mut tree_live: Vec<(u64, Vec<f32>)> = (0..tree_pts.len())
+        .map(|i| (tree_pts.id(i), tree_pts.point(i).to_vec()))
+        .collect();
+    // Log: 20 more points per centre plus background, exactly
+    // `compact_points` of them, so the last insert freezes the log.
+    let mut log: Vec<(u64, Vec<f32>)> = Vec::new();
+    for c in &centres {
+        for _ in 0..20 {
+            log.push((next_id, near(c, &mut rng)));
+            next_id += 1;
+        }
+    }
+    while log.len() < 64 {
+        log.push((next_id, (0..dims).map(|_| rng.f32()).collect()));
+        next_id += 1;
+    }
+    let cfg = StoreConfig::default()
+        .with_compact_points(log.len())
+        .with_tree(TreeConfig::default().with_bucket_size(bucket));
+    let store = MutableIndex::from_points(&tree_pts, cfg).unwrap();
+
+    // Writes run on their own thread: with a sequential rayon pool the
+    // freezing insert runs the (delayed) compaction inline.
+    let writer = {
+        let store = store.clone();
+        let log = log.clone();
+        std::thread::spawn(move || {
+            for (id, p) in &log {
+                store.insert(p, *id).unwrap();
+            }
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !store.compacting() {
+        assert!(Instant::now() < deadline, "the freeze never happened");
+        std::thread::yield_now();
+    }
+
+    // Remove each centre's nearest tree and frozen points, and add a
+    // few fresh-log points beside them.
+    let mut frozen_live = log;
+    let mut fresh: Vec<(u64, Vec<f32>)> = Vec::new();
+    for c in &centres {
+        for (pool, n) in [
+            (&mut tree_live, tree_removed),
+            (&mut frozen_live, frozen_removed),
+        ] {
+            let dist = |p: &[f32]| -> f32 { p.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum() };
+            pool.sort_by(|a, b| dist(&a.1).total_cmp(&dist(&b.1)));
+            for (id, _) in pool.drain(..n) {
+                assert!(store.remove(id).unwrap(), "id {id} was live");
+            }
+        }
+        for _ in 0..4 {
+            let p = near(c, &mut rng);
+            store.insert(&p, next_id).unwrap();
+            fresh.push((next_id, p));
+            next_id += 1;
+        }
+    }
+    let stats = store.stats();
+    assert!(stats.compacting, "the removals raced the swap");
+    assert_eq!(stats.frozen_points, 64);
+    assert_eq!(stats.log_points, 12);
+    assert_eq!(
+        stats.deleted,
+        centres.len() * (tree_removed + frozen_removed)
+    );
+
+    let mirror = Mirror {
+        dims,
+        live: [tree_live, frozen_live, fresh].concat(),
+    };
+    let live = mirror.to_points();
+    let mut coords: Vec<f32> = centres.iter().flatten().copied().collect();
+    coords.extend(centres.iter().flatten().map(|&x| x + 0.003));
+    let queries = PointSet::from_coords(dims, coords).unwrap();
+    let check = |who: &str| {
+        for k in [1, 16, 64] {
+            assert_store_matches_oracle(&store, &live, &queries, k, None, who);
+        }
+        assert_store_matches_oracle(&store, &live, &queries, 16, Some(0.06), who);
+        // k beyond the live count inside the radius: short rows
+        let (k, r) = (500, 0.05);
+        assert_store_matches_oracle(&store, &live, &queries, k, Some(r), who);
+        let res = store
+            .query(&QueryRequest::knn(&queries, k).with_radius(r))
+            .unwrap();
+        assert!(res.neighbors.iter().all(|row| row.len() < k), "{who}");
+    };
+    check("in-flight compaction");
+    assert!(
+        store.compacting(),
+        "the checks must run against the frozen segment"
+    );
+
+    writer.join().unwrap();
+    store.quiesce();
+    assert_eq!(store.stats().compaction_failures, 0);
+    assert!(store.epoch() >= 1, "the delayed compaction still swapped");
+    check("after swap");
+}

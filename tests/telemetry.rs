@@ -352,3 +352,35 @@ fn unsampled_tracing_overhead_is_under_two_percent() {
         100.0 * tracing_cost / per_query_ns
     );
 }
+
+/// A sampled read of a `MutableIndex` with writes outstanding still
+/// records the tree's `LeafKernel` span: the merged read path hands the
+/// caller's trace to the tree query, with one tombstone outstanding and
+/// again with a fresh-log point besides.
+#[test]
+fn sampled_store_read_with_outstanding_writes_records_leaf_kernel() {
+    let _g = trace_lock();
+    let store = MutableIndex::from_points(&line_points(64), StoreConfig::default()).unwrap();
+    assert!(store.remove(5).unwrap());
+    let q = PointSet::from_coords(1, vec![5.2]).unwrap();
+    let assert_traced = |step: &str| {
+        obs::trace::set_sampling(1);
+        let t = obs::trace::maybe_sample();
+        obs::trace::set_sampling(0);
+        assert!(t.is_sampled(), "sampling 1-in-1 must sample");
+        let res = store
+            .query(&QueryRequest::knn(&q, 2).with_trace(t))
+            .unwrap();
+        let ids: Vec<u64> = res.neighbors.row(0).iter().map(|n| n.id).collect();
+        assert!(!ids.contains(&5), "{step}: tombstoned id returned");
+        assert!(
+            obs::trace::events()
+                .iter()
+                .any(|e| e.trace == t && e.stage == Stage::LeafKernel),
+            "{step}: no leaf_kernel span for the sampled store read"
+        );
+    };
+    assert_traced("one tombstone");
+    store.insert(&[100.0], 1000).unwrap();
+    assert_traced("tombstone + fresh point");
+}
